@@ -12,7 +12,6 @@ from .errors import (
     DataError,
     DirectiveError,
     IngestionError,
-    StateError,
     UlsamError,
 )
 from .tensor import Tensor, parameter
@@ -32,7 +31,6 @@ __all__ = [
     "UlsamError",
     "ConfigurationError",
     "DirectiveError",
-    "StateError",
     "IngestionError",
     "DataError",
     "CheckpointError",

@@ -5,27 +5,33 @@ width G = m / g, infers one spatial attention map per group as
 
     A = spatial_softmax( PW1( maxpool_3x3_p1( DW1x1(F_group) ) ) )
 
-and redistributes features as ``(A * F_group) + F_group`` before concatenating
-the groups back together. The depthwise stage has one scalar per channel and
-the pointwise stage one filter (G scalars) per group, so the whole block costs
-exactly ``2 m`` parameters regardless of g. Neither stage carries a bias, and
-there is no normalization or activation besides the softmax.
+and redistributes features as ``(A * F_group) + F_group``. The depthwise stage
+has one scalar per channel and the pointwise stage one filter (G scalars) per
+group, so the whole block costs exactly ``2 m`` parameters regardless of g.
+Neither stage carries a bias, and there is no normalization or activation
+besides the softmax.
+
+Every stage is per channel or per group, so the block runs as one pass over
+the whole tensor for every g: the depthwise scalars and the pool act on all m
+channels at once, ``ops.grouped_pointwise`` gives the g logit maps, the
+softmax runs on the g maps folded into the batch extent, and
+``ops.broadcast_mul_add`` scales group k by map k.
 
 ``g = m`` degenerates to a per-channel non-linear gate; ``case3_attention``
-evaluates that closed form directly (scalar multiplies instead of convolution
-plumbing) and must agree bitwise with the grouped path.
+evaluates that closed form independently (scalar multiplies instead of
+convolution plumbing) and is the reference the ``g = m`` maps must equal
+bitwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import ops
-from .errors import ConfigurationError, StateError
-from .tensor import Array, Tensor, parameter
+from .errors import ConfigurationError
+from .tensor import Tensor, parameter
 
 
 @dataclass(frozen=True)
@@ -80,63 +86,24 @@ def init_ulsam_weights(cfg: UlsamConfig, rng: np.random.Generator, dtype=np.floa
     return UlsamWeights(dw, pw)
 
 
-def split_groups(f: Tensor, groups: int) -> list[Tensor]:
-    """Split the channel extent into ``groups`` contiguous equal slices, in order."""
-    if f.ndim != 4:
-        raise ConfigurationError(f"split_groups: expected rank-4 input, got shape {f.shape}")
-    m = f.shape[1]
-    if groups < 1 or m % groups != 0:
-        raise ConfigurationError(f"split_groups: {groups} groups do not divide {m} channels evenly")
-    width = m // groups
-    return [ops.channel_slice(f, i * width, (i + 1) * width) for i in range(groups)]
-
-
-def attention_map(f_group: Tensor, dw_group: Tensor, pw_group: Tensor) -> Tensor:
-    """Single-channel attention distribution for one group; sums to 1 over (i, j)."""
-    if f_group.ndim != 4:
-        raise ConfigurationError(f"attention_map: expected rank-4 input, got shape {f_group.shape}")
-    width = f_group.shape[1]
-    if dw_group.shape != (width,) or pw_group.shape != (width,):
-        raise ConfigurationError(
-            f"attention_map: weight lengths {dw_group.shape}/{pw_group.shape} do not match group width {width}"
-        )
-    dw_spec = ops.ConvSpec(
-        ops.CONV_DEPTHWISE, width, width, kernel=1, stride=1, padding=0,
-        weights=ops.reshape(dw_group, (width, 1, 1)),
-    )
-    z = ops.depthwise_conv(f_group, dw_spec)
-    p = ops.maxpool_3x3_p1(z)
-    pw_spec = ops.ConvSpec(
-        ops.CONV_POINTWISE, width, 1, kernel=1, stride=1, padding=0,
-        weights=ops.reshape(pw_group, (1, width, 1, 1)),
-    )
-    logits = ops.pointwise_conv(p, pw_spec)
-    return ops.spatial_softmax(logits)
-
-
 def ulsam_attention_maps(f: Tensor, cfg: UlsamConfig, weights: UlsamWeights) -> Tensor:
     """All g attention maps stacked on the channel extent: shape (b, g, h, w)."""
     _check_input(f, cfg, weights)
-    width = cfg.group_width
-    maps = []
-    for i, f_group in enumerate(split_groups(f, cfg.groups)):
-        dw_i = ops.slice1d(weights.dw, i * width, (i + 1) * width)
-        pw_i = ops.slice1d(weights.pw, i * width, (i + 1) * width)
-        maps.append(attention_map(f_group, dw_i, pw_i))
-    return ops.channel_concat(maps)
+    b, m, h, w = f.shape
+    dw_spec = ops.ConvSpec(
+        ops.CONV_DEPTHWISE, m, m, kernel=1, stride=1, padding=0,
+        weights=ops.reshape(weights.dw, (m, 1, 1)),
+    )
+    pooled = ops.maxpool_3x3_p1(ops.depthwise_conv(f, dw_spec))
+    logits = ops.grouped_pointwise(pooled, weights.pw, cfg.groups)
+    # one distribution per (item, group): fold the groups into the batch extent
+    maps = ops.spatial_softmax(ops.reshape(logits, (b * cfg.groups, 1, h, w)))
+    return ops.reshape(maps, (b, cfg.groups, h, w))
 
 
 def ulsam_forward(f: Tensor, cfg: UlsamConfig, weights: UlsamWeights) -> Tensor:
     """Grouped attention + residual redistribution; output shape equals input shape."""
-    _check_input(f, cfg, weights)
-    width = cfg.group_width
-    refined = []
-    for i, f_group in enumerate(split_groups(f, cfg.groups)):
-        dw_i = ops.slice1d(weights.dw, i * width, (i + 1) * width)
-        pw_i = ops.slice1d(weights.pw, i * width, (i + 1) * width)
-        a = attention_map(f_group, dw_i, pw_i)
-        refined.append(ops.broadcast_mul_add(f_group, a))
-    return ops.channel_concat(refined)
+    return ops.broadcast_mul_add(f, ulsam_attention_maps(f, cfg, weights))
 
 
 def _check_input(f: Tensor, cfg: UlsamConfig, weights: UlsamWeights) -> None:
@@ -155,7 +122,7 @@ def case3_attention(f: Tensor, weights: UlsamWeights) -> Tensor:
 
     Computes softmax(a2 * maxpool(a1 * F_c)) for every channel c with plain
     scalar multiplies, reusing the same pooling and softmax kernels, so it is
-    bitwise comparable with the grouped path at g = m.
+    bitwise comparable with ``ulsam_attention_maps`` at g = m.
     """
     if f.ndim != 4:
         raise ConfigurationError(f"case3_attention: expected rank-4 input, got shape {f.shape}")
@@ -170,56 +137,6 @@ def case3_attention(f: Tensor, weights: UlsamWeights) -> Tensor:
     # fold channels into the batch extent so the per-channel softmax reuses the kernel
     s = ops.spatial_softmax(Tensor(logits.reshape(b * m, 1, h, w)))
     return Tensor(s.data.reshape(b, m, h, w))
-
-
-class UlsamBlock:
-    """Stateful wrapper: owns the weights, records the last forward for backward()."""
-
-    def __init__(
-        self,
-        channels: int,
-        groups: int,
-        weights: Optional[UlsamWeights] = None,
-        rng: Optional[np.random.Generator] = None,
-        dtype=np.float64,
-    ):
-        self.config = UlsamConfig(channels, groups)
-        if weights is None:
-            weights = init_ulsam_weights(self.config, rng or np.random.default_rng(0), dtype)
-        self.weights = weights
-        self._last: Optional[tuple[Tensor, Tensor]] = None
-
-    @property
-    def param_count(self) -> int:
-        return self.weights.param_count
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not (x.requires_grad or x._parents):
-            x = Tensor(x.data, requires_grad=True)
-        out = ulsam_forward(x, self.config, self.weights)
-        self._last = (x, out)
-        return out
-
-    __call__ = forward
-
-    def attention_maps(self, x: Tensor) -> Tensor:
-        return ulsam_attention_maps(x, self.config, self.weights)
-
-    def backward(self, upstream: Array) -> tuple[Array, Array, Array]:
-        """Gradients (d_input, d_dw, d_pw) for the most recent forward pass."""
-        if self._last is None:
-            raise StateError("ulsam backward called before any forward pass")
-        x, out = self._last
-        x.zero_grad()
-        self.weights.dw.zero_grad()
-        self.weights.pw.zero_grad()
-        out.backward(np.asarray(upstream, dtype=out.dtype))
-        zeros = lambda t: np.zeros_like(t.data)
-        return (
-            x.grad if x.grad is not None else zeros(x),
-            self.weights.dw.grad if self.weights.dw.grad is not None else zeros(self.weights.dw),
-            self.weights.pw.grad if self.weights.pw.grad is not None else zeros(self.weights.pw),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -281,25 +198,3 @@ def se_forward(f: Tensor, cfg: SeConfig, weights: SeWeights) -> Tensor:
     hidden = ops.relu(ops.fully_connected(squeezed, weights.w1))
     gates = ops.sigmoid(ops.fully_connected(hidden, weights.w2))
     return ops.scale_channels(f, ops.reshape(gates, (b, m, 1, 1)))
-
-
-class SeBlock:
-    def __init__(
-        self,
-        channels: int,
-        reduction: int = 16,
-        weights: Optional[SeWeights] = None,
-        rng: Optional[np.random.Generator] = None,
-        dtype=np.float64,
-    ):
-        self.config = SeConfig(channels, reduction)
-        self.weights = weights if weights is not None else init_se_weights(self.config, rng or np.random.default_rng(0), dtype)
-
-    @property
-    def param_count(self) -> int:
-        return self.weights.param_count
-
-    def forward(self, x: Tensor) -> Tensor:
-        return se_forward(x, self.config, self.weights)
-
-    __call__ = forward

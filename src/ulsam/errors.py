@@ -13,10 +13,6 @@ class DirectiveError(ConfigurationError):
     """An attention position directive is malformed or targets an illegal layer."""
 
 
-class StateError(UlsamError):
-    """An operation was called out of order (e.g. backward before forward)."""
-
-
 class IngestionError(UlsamError):
     """A dataset file is structurally broken (truncated, wrong record size)."""
 

@@ -155,6 +155,10 @@ def _conv_checks(rng) -> list[tuple[str, Callable[[], float]]]:
 
         return lambda: check_fn(fn, arrays, rng)
 
+    def grouped(shape, g):
+        arrays = [rng.standard_normal(shape), rng.standard_normal(shape[1])]
+        return lambda: check_fn(lambda xt, wt: ops.grouped_pointwise(xt, wt, g), arrays, rng)
+
     return [
         ("conv2d_standard 1x3x5x5 k3", standard((1, 3, 5, 5), 2, 3, 1, 0, False)),
         ("conv2d_standard 2x3x6x6 k3 s2 p1 bias", standard((2, 3, 6, 6), 4, 3, 2, 1, True)),
@@ -165,6 +169,9 @@ def _conv_checks(rng) -> list[tuple[str, Callable[[], float]]]:
         ("pointwise_conv 1x3x4x4 n2", pointwise((1, 3, 4, 4), 2, False)),
         ("pointwise_conv 2x4x3x3 n4 bias", pointwise((2, 4, 3, 3), 4, True)),
         ("pointwise_conv 1x1x5x5 n1", pointwise((1, 1, 5, 5), 1, False)),
+        ("grouped_pointwise 2x4x3x3 g1", grouped((2, 4, 3, 3), 1)),
+        ("grouped_pointwise 2x4x3x3 g2", grouped((2, 4, 3, 3), 2)),
+        ("grouped_pointwise 1x4x2x3 g4", grouped((1, 4, 2, 3), 4)),
     ]
 
 
@@ -176,14 +183,15 @@ def _misc_checks(rng) -> list[tuple[str, Callable[[], float]]]:
     def softmax(shape):
         return lambda: check_fn(lambda x: ops.spatial_softmax(x), [rng.standard_normal(shape)], rng)
 
-    def mul_add(fshape):
-        ashape = (fshape[0], 1, fshape[2], fshape[3])
+    def mul_add(fshape, maps=1):
+        ashape = (fshape[0], maps, fshape[2], fshape[3])
         arrays = [rng.standard_normal(fshape), rng.standard_normal(ashape)]
         return lambda: check_fn(lambda f, a: ops.broadcast_mul_add(f, a), arrays, rng)
 
     def concat_split(shape):
         def fn(x):
-            parts = attention.split_groups(x, 2)
+            half = x.shape[1] // 2
+            parts = [ops.channel_slice(x, 0, half), ops.channel_slice(x, half, x.shape[1])]
             return ops.channel_concat([ops.maxpool_3x3_p1(parts[0]), parts[1]])
         return lambda: check_fn(fn, [well_separated_windows(rng, shape)], rng)
 
@@ -231,6 +239,7 @@ def _misc_checks(rng) -> list[tuple[str, Callable[[], float]]]:
         ("broadcast_mul_add 1x3x4x4", mul_add((1, 3, 4, 4))),
         ("broadcast_mul_add 2x2x3x5", mul_add((2, 2, 3, 5))),
         ("broadcast_mul_add 1x1x2x2", mul_add((1, 1, 2, 2))),
+        ("broadcast_mul_add 2x4x3x3 2 maps", mul_add((2, 4, 3, 3), maps=2)),
         ("split+concat 2x4x4x4", concat_split((2, 4, 4, 4))),
         ("split+concat 1x2x3x3", concat_split((1, 2, 3, 3))),
         ("split+concat 1x6x2x5", concat_split((1, 6, 2, 5))),

@@ -1,4 +1,4 @@
-"""Model graphs: MobileNet-V1/V2 builders, attention placement, forward/backward.
+"""Model graphs: MobileNet-V1/V2 builders, attention placement, forward pass.
 
 A graph is an ordered list of :class:`LayerSpec` rows plus a named parameter
 store. Layer indices follow the architecture tables (V1: 1-14 with an
@@ -440,14 +440,6 @@ def forward(graph: ModelGraph, x, train: bool = False) -> Tensor:
     if out.ndim == 4:
         out = ops.reshape(out, (b, out.shape[1]))
     return out
-
-
-model_forward = forward
-
-
-def backward(graph: ModelGraph, logits: Tensor, upstream: np.ndarray) -> None:
-    """Fill every trainable parameter's gradient from an upstream logits gradient."""
-    logits.backward(upstream)
 
 
 def predict_proba(graph: ModelGraph, x) -> np.ndarray:

@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import instrument
 from .errors import ConfigurationError
-from .tensor import Array, Tensor, needs_tape
+from .tensor import Array, Tensor, needs_tape, op_result
 
 CONV_STANDARD = "standard"
 CONV_DEPTHWISE = "depthwise"
@@ -134,10 +134,6 @@ def conv2d_standard(x: Tensor, spec: ConvSpec) -> Tensor:
     out = out.reshape(b, h_out, w_out, n).transpose(0, 3, 1, 2)
 
     inputs = (x, spec.weights) + ((spec.bias,) if spec.bias is not None else ())
-    result = Tensor(np.ascontiguousarray(out), parents=tuple(t for t in inputs), name="conv2d")
-    if not needs_tape(*inputs):
-        result._parents = ()
-        return result
 
     def _bwd(g: Array, x=x, spec=spec, cols=cols, shape=(b, m, h, w), geom=(h_out, w_out)) -> None:
         bb, mm, hh, ww = shape
@@ -159,8 +155,7 @@ def conv2d_standard(x: Tensor, spec: ConvSpec) -> Tensor:
                     dxp[:, :, i : i + st * ho : st, j : j + st * wo : st] += contrib.transpose(0, 3, 1, 2)
             x.accumulate_grad(dxp[:, :, pd : pd + hh, pd : pd + ww] if pd else dxp)
 
-    result._backward = _bwd
-    return result
+    return op_result(np.ascontiguousarray(out), inputs, _bwd, "conv2d")
 
 
 def depthwise_conv(x: Tensor, spec: ConvSpec) -> Tensor:
@@ -183,10 +178,6 @@ def depthwise_conv(x: Tensor, spec: ConvSpec) -> Tensor:
         out = out + spec.bias.data[None, :, None, None]
 
     inputs = (x, spec.weights) + ((spec.bias,) if spec.bias is not None else ())
-    result = Tensor(np.ascontiguousarray(out), parents=inputs, name="depthwise_conv")
-    if not needs_tape(*inputs):
-        result._parents = ()
-        return result
 
     def _bwd(g: Array, x=x, spec=spec, xp=xp, shape=(b, m, h, w), geom=(h_out, w_out)) -> None:
         bb, mm, hh, ww = shape
@@ -206,8 +197,7 @@ def depthwise_conv(x: Tensor, spec: ConvSpec) -> Tensor:
                     dxp[:, :, i : i + st * ho : st, j : j + st * wo : st] += g * wdat[None, :, i, j, None, None]
             x.accumulate_grad(dxp[:, :, pd : pd + hh, pd : pd + ww] if pd else dxp)
 
-    result._backward = _bwd
-    return result
+    return op_result(np.ascontiguousarray(out), inputs, _bwd, "depthwise_conv")
 
 
 def pointwise_conv(x: Tensor, spec: ConvSpec) -> Tensor:
@@ -228,10 +218,6 @@ def pointwise_conv(x: Tensor, spec: ConvSpec) -> Tensor:
         out = out + spec.bias.data[None, :, None, None]
 
     inputs = (x, spec.weights) + ((spec.bias,) if spec.bias is not None else ())
-    result = Tensor(out, parents=inputs, name="pointwise_conv")
-    if not needs_tape(*inputs):
-        result._parents = ()
-        return result
 
     def _bwd(g: Array, x=x, spec=spec, shape=(b, m, h, w)) -> None:
         bb, mm, hh, ww = shape
@@ -248,8 +234,36 @@ def pointwise_conv(x: Tensor, spec: ConvSpec) -> Tensor:
             dx = np.matmul(w2d_b.T, g_flat).reshape(bb, mm, hh, ww)
             x.accumulate_grad(dx)
 
-    result._backward = _bwd
-    return result
+    return op_result(out, inputs, _bwd, "pointwise_conv")
+
+
+def grouped_pointwise(x: Tensor, weights: Tensor, groups: int) -> Tensor:
+    """One 1x1 filter per contiguous channel group: ``(b, m, h, w) -> (b, g, h, w)``.
+
+    ``weights`` is a length-m vector: filter k is its slice ``[k*G, (k+1)*G)``,
+    G = m / g, applied to the same channels of ``x``. No bias. Counts as
+    ``b*m*h*w`` pointwise MACs, one per input element.
+    """
+    _require_rank4(x, "grouped_pointwise")
+    b, m, h, w = x.shape
+    if groups < 1 or m % groups != 0:
+        raise ConfigurationError(f"grouped_pointwise: {groups} groups do not divide {m} channels evenly")
+    if weights.shape != (m,):
+        raise ConfigurationError(f"grouped_pointwise: weights shape {weights.shape}, expected ({m},)")
+    grouped = (b, groups, m // groups, h * w)
+    out = np.einsum("bkcl,kc->bkl", x.data.reshape(grouped), weights.data.reshape(grouped[1:3]))
+    instrument.tally(CONV_POINTWISE, b * m * h * w)
+
+    def _bwd(g: Array, x=x, weights=weights, grouped=grouped) -> None:
+        bb, gg, width, hw = grouped
+        g_maps = g.reshape(bb, gg, 1, hw)
+        if needs_tape(weights):
+            dw = np.einsum("bkl,bkcl->kc", g_maps[:, :, 0], x.data.reshape(grouped))
+            weights.accumulate_grad(dw.reshape(-1))
+        if needs_tape(x):
+            x.accumulate_grad((g_maps * weights.data.reshape(1, gg, width, 1)).reshape(x.shape))
+
+    return op_result(out.reshape(b, groups, h, w), (x, weights), _bwd, "grouped_pointwise")
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +286,6 @@ def maxpool_3x3_p1(x: Tensor) -> Tensor:
     idx = np.argmax(win, axis=-1)
     out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
 
-    result = Tensor(np.ascontiguousarray(out), parents=(x,), name="maxpool_3x3_p1")
-    if not needs_tape(x):
-        result._parents = ()
-        return result
-
     def _bwd(g: Array, x=x, idx=idx, shape=(b, c, h, w)) -> None:
         if not needs_tape(x):
             return
@@ -289,8 +298,7 @@ def maxpool_3x3_p1(x: Tensor) -> Tensor:
         np.add.at(dxp, (bi, ci, hi + idx // 3, wi + idx % 3), g)
         x.accumulate_grad(dxp[:, :, 1 : 1 + hh, 1 : 1 + ww])
 
-    result._backward = _bwd
-    return result
+    return op_result(np.ascontiguousarray(out), (x,), _bwd, "maxpool_3x3_p1")
 
 
 def spatial_softmax(x: Tensor) -> Tensor:
@@ -306,10 +314,6 @@ def spatial_softmax(x: Tensor) -> Tensor:
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     s = e / e.sum(axis=1, keepdims=True)
-    result = Tensor(s.reshape(b, 1, h, w), parents=(x,), name="spatial_softmax")
-    if not needs_tape(x):
-        result._parents = ()
-        return result
 
     def _bwd(g: Array, x=x, s=s, shape=(b, h, w)) -> None:
         if not needs_tape(x):
@@ -319,34 +323,39 @@ def spatial_softmax(x: Tensor) -> Tensor:
         dot = (gf * s).sum(axis=1, keepdims=True)
         x.accumulate_grad((s * (gf - dot)).reshape(bb, 1, hh, ww))
 
-    result._backward = _bwd
-    return result
+    return op_result(s.reshape(b, 1, h, w), (x,), _bwd, "spatial_softmax")
 
 
 def broadcast_mul_add(f: Tensor, a: Tensor) -> Tensor:
-    """Feature redistribution ``(a * f) + f`` with ``a`` broadcast across channels."""
+    """Feature redistribution ``(a * f) + f``: map k of ``a`` scales channel group k of ``f``.
+
+    ``a`` has g maps, g dividing the m channels of ``f``; group k is the
+    contiguous channels ``[k*m/g, (k+1)*m/g)``. With g = 1 the one map scales
+    every channel.
+    """
     _require_rank4(f, "broadcast_mul_add")
     _require_rank4(a, "broadcast_mul_add")
-    if a.shape[1] != 1:
-        raise ConfigurationError(f"broadcast_mul_add: attention map must have 1 channel, got {a.shape[1]}")
-    if a.shape[0] != f.shape[0] or a.shape[2:] != f.shape[2:]:
+    b, m, h, w = f.shape
+    g = a.shape[1]
+    if g < 1 or m % g != 0:
+        raise ConfigurationError(f"broadcast_mul_add: {g} maps do not divide {m} channels evenly")
+    if a.shape[0] != b or a.shape[2:] != f.shape[2:]:
         raise ConfigurationError(
             f"broadcast_mul_add: spatial/batch extents of map {a.shape} do not match features {f.shape}"
         )
-    out = a.data * f.data + f.data
-    result = Tensor(out, parents=(f, a), name="broadcast_mul_add")
-    if not needs_tape(f, a):
-        result._parents = ()
-        return result
+    grouped = (b, g, m // g, h, w)
+    fg = f.data.reshape(grouped)
+    out = (a.data.reshape(b, g, 1, h, w) * fg + fg).reshape(f.shape)
 
-    def _bwd(g: Array, f=f, a=a) -> None:
+    def _bwd(grad: Array, f=f, a=a, grouped=grouped) -> None:
+        bb, gg, _, hh, ww = grouped
+        grad = grad.reshape(grouped)
         if needs_tape(f):
-            f.accumulate_grad(g * (a.data + 1.0))
+            f.accumulate_grad((grad * (a.data.reshape(bb, gg, 1, hh, ww) + 1.0)).reshape(f.shape))
         if needs_tape(a):
-            a.accumulate_grad((g * f.data).sum(axis=1, keepdims=True))
+            a.accumulate_grad((grad * f.data.reshape(grouped)).sum(axis=2))
 
-    result._backward = _bwd
-    return result
+    return op_result(out, (f, a), _bwd, "broadcast_mul_add")
 
 
 def channel_concat(parts: Sequence[Tensor]) -> Tensor:
@@ -360,11 +369,6 @@ def channel_concat(parts: Sequence[Tensor]) -> Tensor:
         if p.shape[0] != ref[0] or p.shape[2:] != ref[2:]:
             raise ConfigurationError(f"channel_concat: part shape {p.shape} incompatible with {ref}")
     out = np.concatenate([p.data for p in parts], axis=1)
-    result = Tensor(out, parents=tuple(parts), name="channel_concat")
-    if not needs_tape(*parts):
-        result._parents = ()
-        return result
-
     offsets = np.cumsum([0] + [p.shape[1] for p in parts])
 
     def _bwd(g: Array, parts=tuple(parts), offsets=offsets) -> None:
@@ -372,8 +376,7 @@ def channel_concat(parts: Sequence[Tensor]) -> Tensor:
             if needs_tape(p):
                 p.accumulate_grad(g[:, lo:hi])
 
-    result._backward = _bwd
-    return result
+    return op_result(out, tuple(parts), _bwd, "channel_concat")
 
 
 def channel_slice(x: Tensor, start: int, stop: int) -> Tensor:
@@ -382,10 +385,6 @@ def channel_slice(x: Tensor, start: int, stop: int) -> Tensor:
     if not (0 <= start < stop <= x.shape[1]):
         raise ConfigurationError(f"channel_slice: [{start}, {stop}) out of range for {x.shape[1]} channels")
     out = x.data[:, start:stop].copy()
-    result = Tensor(out, parents=(x,), name="channel_slice")
-    if not needs_tape(x):
-        result._parents = ()
-        return result
 
     def _bwd(g: Array, x=x, start=start, stop=stop) -> None:
         if not needs_tape(x):
@@ -394,20 +393,15 @@ def channel_slice(x: Tensor, start: int, stop: int) -> Tensor:
             x.grad = np.zeros_like(x.data)
         x.grad[:, start:stop] += g
 
-    result._backward = _bwd
-    return result
+    return op_result(out, (x,), _bwd, "channel_slice")
 
 
 def slice1d(x: Tensor, start: int, stop: int) -> Tensor:
-    """Slice ``[start, stop)`` of a rank-1 tensor (used for per-group weight views)."""
+    """Slice ``[start, stop)`` of a rank-1 tensor with gradient routing."""
     if x.ndim != 1:
         raise ConfigurationError(f"slice1d: expected rank-1 tensor, got shape {x.shape}")
     if not (0 <= start < stop <= x.shape[0]):
         raise ConfigurationError(f"slice1d: [{start}, {stop}) out of range for length {x.shape[0]}")
-    result = Tensor(x.data[start:stop].copy(), parents=(x,), name="slice1d")
-    if not needs_tape(x):
-        result._parents = ()
-        return result
 
     def _bwd(g: Array, x=x, start=start, stop=stop) -> None:
         if not needs_tape(x):
@@ -416,24 +410,18 @@ def slice1d(x: Tensor, start: int, stop: int) -> Tensor:
             x.grad = np.zeros_like(x.data)
         x.grad[start:stop] += g
 
-    result._backward = _bwd
-    return result
+    return op_result(x.data[start:stop].copy(), (x,), _bwd, "slice1d")
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:
     """Reshape with gradient routing; element count must be preserved."""
     out = x.data.reshape(shape)
-    result = Tensor(out.copy(), parents=(x,), name="reshape")
-    if not needs_tape(x):
-        result._parents = ()
-        return result
 
     def _bwd(g: Array, x=x) -> None:
         if needs_tape(x):
             x.accumulate_grad(g.reshape(x.shape))
 
-    result._backward = _bwd
-    return result
+    return op_result(out.copy(), (x,), _bwd, "reshape")
 
 
 def scale_channels(x: Tensor, s: Tensor) -> Tensor:
@@ -443,10 +431,6 @@ def scale_channels(x: Tensor, s: Tensor) -> Tensor:
     if s.shape != (x.shape[0], x.shape[1], 1, 1):
         raise ConfigurationError(f"scale_channels: scale shape {s.shape}, expected {(x.shape[0], x.shape[1], 1, 1)}")
     out = x.data * s.data
-    result = Tensor(out, parents=(x, s), name="scale_channels")
-    if not needs_tape(x, s):
-        result._parents = ()
-        return result
 
     def _bwd(g: Array, x=x, s=s) -> None:
         if needs_tape(x):
@@ -454,8 +438,7 @@ def scale_channels(x: Tensor, s: Tensor) -> Tensor:
         if needs_tape(s):
             s.accumulate_grad((g * x.data).sum(axis=(2, 3), keepdims=True))
 
-    result._backward = _bwd
-    return result
+    return op_result(out, (x, s), _bwd, "scale_channels")
 
 
 # ---------------------------------------------------------------------------
@@ -468,17 +451,12 @@ def global_avg_pool(x: Tensor) -> Tensor:
     _require_rank4(x, "global_avg_pool")
     b, c, h, w = x.shape
     out = x.data.mean(axis=(2, 3), keepdims=True)
-    result = Tensor(out, parents=(x,), name="global_avg_pool")
-    if not needs_tape(x):
-        result._parents = ()
-        return result
 
     def _bwd(g: Array, x=x, hw=h * w) -> None:
         if needs_tape(x):
             x.accumulate_grad(np.broadcast_to(g / hw, x.shape).copy())
 
-    result._backward = _bwd
-    return result
+    return op_result(out, (x,), _bwd, "global_avg_pool")
 
 
 def fully_connected(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
@@ -503,10 +481,6 @@ def fully_connected(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) ->
         out = out + bias.data[None, :]
 
     inputs = (x, weight) + ((bias,) if bias is not None else ())
-    result = Tensor(out, parents=inputs, name="fully_connected")
-    if not needs_tape(*inputs):
-        result._parents = ()
-        return result
 
     def _bwd(g: Array, x=x, weight=weight, bias=bias, b=b, feat=feat) -> None:
         x2d_b = x.data.reshape(b, feat)
@@ -517,22 +491,16 @@ def fully_connected(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) ->
         if needs_tape(x):
             x.accumulate_grad((g @ weight.data.T).reshape(x.shape))
 
-    result._backward = _bwd
-    return result
+    return op_result(out, inputs, _bwd, "fully_connected")
 
 
 def _elementwise(x: Tensor, out_data: Array, local_grad: Array, name: str) -> Tensor:
-    result = Tensor(out_data, parents=(x,), name=name)
-    if not needs_tape(x):
-        result._parents = ()
-        return result
 
     def _bwd(g: Array, x=x, local_grad=local_grad) -> None:
         if needs_tape(x):
             x.accumulate_grad(g * local_grad)
 
-    result._backward = _bwd
-    return result
+    return op_result(out_data, (x,), _bwd, name)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -586,10 +554,6 @@ def batch_norm(
     out = gamma.data[None, :, None, None] * x_hat + beta.data[None, :, None, None]
 
     inputs = (x, gamma, beta)
-    result = Tensor(out, parents=inputs, name="batch_norm")
-    if not needs_tape(*inputs):
-        result._parents = ()
-        return result
 
     def _bwd(g: Array, x=x, gamma=gamma, beta=beta, x_hat=x_hat, inv_std=inv_std, train=train) -> None:
         if needs_tape(beta):
@@ -605,5 +569,4 @@ def batch_norm(
             else:
                 x.accumulate_grad(scale * g)
 
-    result._backward = _bwd
-    return result
+    return op_result(out, inputs, _bwd, "batch_norm")

@@ -133,20 +133,14 @@ class Tensor:
             raise TypeError("Tensor addition expects another Tensor")
         if self.shape != other.shape:
             raise ConfigurationError(f"add: shape mismatch {self.shape} vs {other.shape}")
-        out = Tensor(
-            self.data + other.data,
-            requires_grad=self.requires_grad or other.requires_grad,
-            parents=(self, other),
-        )
 
         def _bwd(g: Array, a=self, b=other) -> None:
-            if a.requires_grad or a._parents:
+            if needs_tape(a):
                 a.accumulate_grad(g)
-            if b.requires_grad or b._parents:
+            if needs_tape(b):
                 b.accumulate_grad(g)
 
-        out._backward = _bwd
-        return out
+        return op_result(self.data + other.data, (self, other), _bwd, "add")
 
 
 def as_tensor(x, dtype=None) -> Tensor:
@@ -169,3 +163,11 @@ def parameter(data, name: str = "", dtype=None) -> Tensor:
 def needs_tape(*tensors: Tensor) -> bool:
     """True when an op's output must carry a backward closure."""
     return any(t.requires_grad or t._parents for t in tensors)
+
+
+def op_result(data, inputs: tuple, backward: Callable[[Array], None], name: str) -> Tensor:
+    """An op's output: linked to ``inputs`` with ``backward`` attached when any
+    input needs the tape, otherwise a plain leaf that keeps nothing alive."""
+    if needs_tape(*inputs):
+        return Tensor(data, parents=inputs, backward=backward, name=name)
+    return Tensor(data, name=name)

@@ -250,7 +250,11 @@ def save_checkpoint(path: Union[str, Path], graph: models.ModelGraph) -> None:
 
 
 def load_checkpoint(path: Union[str, Path], graph: models.ModelGraph) -> None:
-    """Assign stored tensors into the graph by name; shapes must match exactly."""
+    """Assign stored tensors into the graph by name; shapes must match exactly.
+
+    The whole file is parsed and checked before anything is assigned, so a
+    rejected checkpoint leaves every parameter and buffer as it was.
+    """
     raw = Path(path).read_bytes()
     if len(raw) < 8 or raw[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic bytes (expected {CHECKPOINT_MAGIC!r})")
@@ -258,7 +262,7 @@ def load_checkpoint(path: Union[str, Path], graph: models.ModelGraph) -> None:
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     pos = 8
-    seen = set()
+    staged: dict[str, np.ndarray] = {}
     while pos < len(raw):
         try:
             (nlen,) = struct.unpack_from("<I", raw, pos)
@@ -275,20 +279,22 @@ def load_checkpoint(path: Union[str, Path], graph: models.ModelGraph) -> None:
         except (struct.error, ValueError) as e:
             raise CheckpointError(f"{path}: corrupt record near byte {pos}: {e}") from None
         if name in graph.params:
-            target = graph.params[name]
-            if target.shape != arr.shape:
-                raise CheckpointError(f"{path}: {name} has shape {arr.shape}, model expects {target.shape}")
-            target.data = arr.astype(graph.dtype)
+            expect = graph.params[name].shape
         elif name in graph.buffers:
-            if graph.buffers[name].shape != arr.shape:
-                raise CheckpointError(f"{path}: {name} has shape {arr.shape}, model expects {graph.buffers[name].shape}")
-            graph.buffers[name][...] = arr.astype(graph.dtype)
+            expect = graph.buffers[name].shape
         else:
             raise CheckpointError(f"{path}: tensor {name!r} does not exist in this model")
-        seen.add(name)
-    missing = (set(graph.params) | set(graph.buffers)) - seen
+        if arr.shape != expect:
+            raise CheckpointError(f"{path}: {name} has shape {arr.shape}, model expects {expect}")
+        staged[name] = arr
+    missing = (set(graph.params) | set(graph.buffers)) - set(staged)
     if missing:
         raise CheckpointError(f"{path}: checkpoint is missing tensors: {sorted(missing)[:5]}")
+    for name, arr in staged.items():
+        if name in graph.params:
+            graph.params[name].data = arr.astype(graph.dtype)
+        else:
+            graph.buffers[name][...] = arr.astype(graph.dtype)
 
 
 # ---------------------------------------------------------------------------

@@ -5,23 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ulsam import gradcheck
+from ulsam import gradcheck, ops
 from ulsam.attention import (
     SeConfig,
     SeWeights,
-    UlsamBlock,
     UlsamConfig,
     UlsamWeights,
-    attention_map,
     case3_attention,
     init_se_weights,
     init_ulsam_weights,
     se_forward,
-    split_groups,
     ulsam_attention_maps,
     ulsam_forward,
 )
-from ulsam.errors import ConfigurationError, StateError
+from ulsam.errors import ConfigurationError
 from ulsam.tensor import Tensor, parameter
 
 
@@ -38,6 +35,67 @@ def zero_weights(m):
     return UlsamWeights(parameter(np.zeros(m)), parameter(np.zeros(m)))
 
 
+def block_grads(cfg, x, weights, upstream):
+    """(output, d_input, d_dw, d_pw) of one forward + backward through the block."""
+    f = parameter(x)
+    out = ulsam_forward(f, cfg, weights)
+    out.backward(upstream)
+    grads = [tt.grad if tt.grad is not None else np.zeros_like(tt.data) for tt in (f, weights.dw, weights.pw)]
+    return (out.data, *grads)
+
+
+# ---------------------------------------------------------------------------
+# per-group reference
+# ---------------------------------------------------------------------------
+
+
+def reference_block(f, cfg, weights):
+    """The block composed group by group, as the paper writes it: (output, maps).
+
+    Each group's channels and weights are sliced out, run through DW1x1,
+    max-pool, a single-output pointwise conv and the spatial softmax, and the
+    refined groups are concatenated. The whole-tensor pass must match it.
+    """
+    width = cfg.group_width
+    refined, maps = [], []
+    for k in range(cfg.groups):
+        lo, hi = k * width, (k + 1) * width
+        f_k = ops.channel_slice(f, lo, hi)
+        dw_spec = ops.ConvSpec(ops.CONV_DEPTHWISE, width, width, kernel=1, stride=1, padding=0,
+                               weights=ops.reshape(ops.slice1d(weights.dw, lo, hi), (width, 1, 1)))
+        pw_spec = ops.ConvSpec(ops.CONV_POINTWISE, width, 1, kernel=1, stride=1, padding=0,
+                               weights=ops.reshape(ops.slice1d(weights.pw, lo, hi), (1, width, 1, 1)))
+        pooled = ops.maxpool_3x3_p1(ops.depthwise_conv(f_k, dw_spec))
+        a = ops.spatial_softmax(ops.pointwise_conv(pooled, pw_spec))
+        maps.append(a)
+        refined.append(ops.broadcast_mul_add(f_k, a))
+    return ops.channel_concat(refined), ops.channel_concat(maps)
+
+
+@pytest.mark.parametrize("g", [1, 2, 4, 8])
+def test_whole_tensor_pass_matches_per_group_reference(g):
+    m = 8
+    rng = np.random.default_rng(30 + g)
+    cfg = UlsamConfig(m, g)
+    x = rng.normal(size=(2, m, 5, 4))
+    upstream = rng.normal(size=x.shape)
+    dw, pw = rng.normal(size=m), rng.normal(size=m)
+
+    def run(block):
+        f, w = parameter(x), UlsamWeights(parameter(dw), parameter(pw))
+        out = block(f, w)
+        out.backward(upstream)
+        return out.data, f.grad, w.dw.grad, w.pw.grad
+
+    got = run(lambda f, w: ulsam_forward(f, cfg, w))
+    ref = run(lambda f, w: reference_block(f, cfg, w)[0])
+    for name, a, b in zip(("output", "d_input", "d_dw", "d_pw"), got, ref):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max(), err_msg=name)
+    weights = UlsamWeights(parameter(dw), parameter(pw))
+    maps = ulsam_attention_maps(t(x), cfg, weights).data
+    np.testing.assert_allclose(maps, reference_block(t(x), cfg, weights)[1].data, rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # configuration and splitting
 # ---------------------------------------------------------------------------
@@ -50,25 +108,37 @@ def test_config_rejects_bad_group_counts(m, g):
 
 
 def test_split_groups_contiguous_slices():
+    # group k of the block is the g = 1 block run alone on channels [2k, 2k+2)
+    # with the same slice of both weight vectors
     x = np.random.default_rng(0).normal(size=(2, 8, 3, 3))
-    parts = split_groups(t(x), 4)
-    assert [p.shape[1] for p in parts] == [2, 2, 2, 2]
-    for i, p in enumerate(parts):
-        np.testing.assert_array_equal(p.data, x[:, 2 * i : 2 * i + 2])
+    w = rand_weights(8)
+    out = ulsam_forward(t(x), UlsamConfig(8, 4), w).data
+    for k in range(4):
+        lo, hi = 2 * k, 2 * k + 2
+        alone = UlsamWeights(parameter(w.dw.data[lo:hi]), parameter(w.pw.data[lo:hi]))
+        expect = ulsam_forward(t(x[:, lo:hi]), UlsamConfig(2, 1), alone).data
+        np.testing.assert_allclose(out[:, lo:hi], expect, rtol=0, atol=1e-12)
 
 
 def test_split_groups_degenerate_cases():
-    x = np.random.default_rng(1).normal(size=(1, 4, 2, 2))
-    whole = split_groups(t(x), 1)
-    assert len(whole) == 1
-    np.testing.assert_array_equal(whole[0].data, x)
-    singles = split_groups(t(x), 4)
-    assert len(singles) == 4 and all(p.shape[1] == 1 for p in singles)
+    rng = np.random.default_rng(1)
+    x, w = rng.normal(size=(1, 4, 2, 2)), rng.normal(size=4)
+    # one group: a single pointwise filter over every channel
+    whole = ops.grouped_pointwise(t(x), t(w), 1)
+    spec = ops.ConvSpec(ops.CONV_POINTWISE, 4, 1, kernel=1, stride=1, padding=0, weights=t(w.reshape(1, 4, 1, 1)))
+    np.testing.assert_allclose(whole.data, ops.pointwise_conv(t(x), spec).data, rtol=0, atol=1e-15)
+    # one channel per group: a per-channel scale, and one map per channel
+    singles = ops.grouped_pointwise(t(x), t(w), 4)
+    np.testing.assert_array_equal(singles.data, x * w[None, :, None, None])
+    a = rng.normal(size=(1, 4, 2, 2))
+    np.testing.assert_array_equal(ops.broadcast_mul_add(t(x), t(a)).data, a * x + x)
 
 
 def test_split_groups_uneven_rejected():
     with pytest.raises(ConfigurationError, match="divide"):
-        split_groups(t(np.zeros((1, 6, 2, 2))), 4)
+        ops.grouped_pointwise(t(np.zeros((1, 6, 2, 2))), t(np.zeros(6)), 4)
+    with pytest.raises(ConfigurationError, match="divide"):
+        ops.broadcast_mul_add(t(np.zeros((1, 6, 2, 2))), t(np.zeros((1, 4, 2, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -79,26 +149,23 @@ def test_split_groups_uneven_rejected():
 def test_attention_map_zero_weights_uniform():
     rng = np.random.default_rng(2)
     f = t(rng.normal(size=(3, 2, 4, 5)))
-    for dw, pw in [(np.zeros(2), rng.normal(size=2)), (rng.normal(size=2), np.zeros(2))]:
-        a = attention_map(f, parameter(dw), parameter(pw))
-        np.testing.assert_allclose(a.data, 1.0 / 20.0, rtol=0, atol=1e-15)
+    for g in (1, 2):
+        for dw, pw in [(np.zeros(2), rng.normal(size=2)), (rng.normal(size=2), np.zeros(2))]:
+            a = ulsam_attention_maps(f, UlsamConfig(2, g), UlsamWeights(parameter(dw), parameter(pw)))
+            np.testing.assert_allclose(a.data, 1.0 / 20.0, rtol=0, atol=1e-15)
 
 
 def test_attention_map_hand_softmax_values():
     # the softmax stage on logits (0, 0, 0, ln 3): exp sums to 6
-    from ulsam import ops
-
     logits = t(np.array([0.0, 0.0, 0.0, np.log(3.0)]).reshape(1, 1, 2, 2))
     a = ops.spatial_softmax(logits)
     np.testing.assert_allclose(a.data.ravel(), [1 / 6, 1 / 6, 1 / 6, 1 / 2], atol=1e-15)
 
 
 def test_attention_map_unit_weights_matches_pool_softmax():
-    from ulsam import ops
-
     rng = np.random.default_rng(3)
     f = t(rng.normal(size=(1, 1, 3, 3)))
-    a = attention_map(f, parameter(np.ones(1)), parameter(np.ones(1)))
+    a = ulsam_attention_maps(f, UlsamConfig(1, 1), UlsamWeights(parameter(np.ones(1)), parameter(np.ones(1))))
     expect = ops.spatial_softmax(ops.maxpool_3x3_p1(f))
     np.testing.assert_array_equal(a.data, expect.data)
 
@@ -213,30 +280,24 @@ def test_backward_matches_finite_differences():
 
 
 def test_backward_zero_upstream_gives_zero_gradients():
-    block = UlsamBlock(6, 3, rng=np.random.default_rng(10))
-    x = t(np.random.default_rng(11).normal(size=(2, 6, 3, 3)))
-    out = block.forward(x)
-    dx, ddw, dpw = block.backward(np.zeros(out.shape))
+    rng = np.random.default_rng(10)
+    cfg = UlsamConfig(6, 3)
+    x = np.random.default_rng(11).normal(size=(2, 6, 3, 3))
+    _, dx, ddw, dpw = block_grads(cfg, x, init_ulsam_weights(cfg, rng), np.zeros(x.shape))
     assert not dx.any() and not ddw.any() and not dpw.any()
 
 
 def test_backward_group_locality_of_gradients():
     rng = np.random.default_rng(12)
     m, g, width = 8, 4, 2
-    block = UlsamBlock(m, g, rng=rng)
-    x = t(rng.normal(size=(1, m, 3, 3)))
-    out = block.forward(x)
-    upstream = np.zeros(out.shape)
+    cfg = UlsamConfig(m, g)
+    weights = init_ulsam_weights(cfg, rng)
+    x = rng.normal(size=(1, m, 3, 3))
+    upstream = np.zeros(x.shape)
     upstream[:, 0:width] = rng.normal(size=(1, width, 3, 3))  # group 0 only
-    dx, ddw, dpw = block.backward(upstream)
+    _, dx, ddw, dpw = block_grads(cfg, x, weights, upstream)
     assert not dx[:, width:].any()
     assert not ddw[width:].any() and not dpw[width:].any()
-
-
-def test_backward_before_forward_raises_state_error():
-    block = UlsamBlock(4, 2)
-    with pytest.raises(StateError, match="before"):
-        block.backward(np.zeros((1, 4, 2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +306,6 @@ def test_backward_before_forward_raises_state_error():
 
 
 def test_case3_unit_weights_is_pooled_softmax_per_channel():
-    from ulsam import ops
-
     rng = np.random.default_rng(13)
     f = rng.normal(size=(1, 3, 4, 4))
     w = UlsamWeights(parameter(np.ones(3)), parameter(np.ones(3)))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ulsam import gradcheck, ops
+from ulsam import gradcheck, instrument, ops
 from ulsam.errors import ConfigurationError
 from ulsam.tensor import Tensor, parameter
 
@@ -279,6 +279,36 @@ def test_broadcast_mul_add_spatial_mismatch():
         ops.broadcast_mul_add(t(np.zeros((1, 2, 3, 3))), t(np.zeros((1, 1, 2, 2))))
 
 
+def test_broadcast_mul_add_map_k_scales_group_k():
+    # lattice values keep the identity exact: group k gains A_k * F_group
+    rng = np.random.default_rng(16)
+    f = rng.integers(-16, 17, size=(2, 6, 3, 3)) / 8.0
+    a = rng.integers(-16, 17, size=(2, 3, 3, 3)) / 8.0
+    out = ops.broadcast_mul_add(t(f), t(a)).data
+    for k in range(3):
+        grp = slice(2 * k, 2 * k + 2)
+        np.testing.assert_array_equal(out[:, grp] - f[:, grp], a[:, k : k + 1] * f[:, grp])
+
+
+def test_grouped_pointwise_definitional():
+    rng = np.random.default_rng(17)
+    x = rng.integers(-16, 17, size=(2, 6, 3, 4)) / 8.0
+    w = rng.integers(-8, 9, size=6) / 8.0
+    counter = instrument.MacCounter()
+    with instrument.count_macs(counter):
+        out = ops.grouped_pointwise(t(x), t(w), 3).data
+    assert out.shape == (2, 3, 3, 4)
+    for k in range(3):
+        c = 2 * k
+        np.testing.assert_array_equal(out[:, k], x[:, c] * w[c] + x[:, c + 1] * w[c + 1])
+    assert counter.by_kind == {ops.CONV_POINTWISE: x.size}
+
+
+def test_grouped_pointwise_weight_length_checked():
+    with pytest.raises(ConfigurationError, match="weights shape"):
+        ops.grouped_pointwise(t(np.zeros((1, 4, 2, 2))), t(np.zeros(2)), 2)
+
+
 def test_channel_concat_single_part_identity():
     x = np.random.default_rng(12).normal(size=(1, 3, 2, 2))
     np.testing.assert_array_equal(ops.channel_concat([t(x)]).data, x)
@@ -366,3 +396,14 @@ def test_backward_on_nonscalar_without_upstream_raises():
     out = ops.relu(x)
     with pytest.raises(ConfigurationError, match="upstream"):
         out.backward()
+
+
+def test_tape_recorded_only_when_an_input_needs_it():
+    x = np.random.default_rng(19).normal(size=(1, 2, 2, 2))
+    for out in (t(x) + t(x), ops.relu(t(x))):
+        assert out._parents == () and out._backward is None
+    w = parameter(x)
+    for out in (w + t(x), ops.relu(w)):
+        assert out._parents and out._backward is not None
+    (w + ops.relu(w)).backward(np.ones(x.shape))
+    np.testing.assert_array_equal(w.grad, 1.0 + (x > 0))

@@ -265,6 +265,34 @@ def test_checkpoint_unknown_tensor_rejected(tmp_path):
         load_checkpoint(path, other)
 
 
+def test_rejected_checkpoint_leaves_graph_unchanged(tmp_path):
+    # each bad file holds valid records of another init before the fault
+    src = _tiny_graph(1)
+    last = sorted(src.params)[-1]
+    good = tmp_path / "good.bin"
+    save_checkpoint(good, src)
+    truncated = tmp_path / "truncated.bin"
+    truncated.write_bytes(good.read_bytes()[: good.stat().st_size // 2])
+    src.params[last].data = np.zeros(src.params[last].size + 1, dtype=np.float32)
+    wrong_shape = tmp_path / "wrong_shape.bin"
+    save_checkpoint(wrong_shape, src)
+    src = _tiny_graph(1)
+    src.params["zz.extra"] = parameter(np.zeros(2, dtype=np.float32))
+    unknown = tmp_path / "unknown.bin"
+    save_checkpoint(unknown, src)
+
+    g = _tiny_graph(2)
+    params = {n: p.data.copy() for n, p in g.params.items()}
+    buffers = {n: b.copy() for n, b in g.buffers.items()}
+    for bad, match in [(truncated, "corrupt|missing"), (wrong_shape, "shape"), (unknown, "does not exist")]:
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(bad, g)
+        for n, p in g.params.items():
+            np.testing.assert_array_equal(p.data, params[n])
+        for n, b in g.buffers.items():
+            np.testing.assert_array_equal(b, buffers[n])
+
+
 def test_checkpoint_eval_reproduces_metrics_bitwise(tmp_path):
     ds = synthetic_dataset(4, 64, 8, seed=5)
     g = _tiny_graph(3)
