@@ -90,11 +90,7 @@ def ulsam_attention_maps(f: Tensor, cfg: UlsamConfig, weights: UlsamWeights) -> 
     """All g attention maps stacked on the channel extent: shape (b, g, h, w)."""
     _check_input(f, cfg, weights)
     b, m, h, w = f.shape
-    dw_spec = ops.ConvSpec(
-        ops.CONV_DEPTHWISE, m, m, kernel=1, stride=1, padding=0,
-        weights=ops.reshape(weights.dw, (m, 1, 1)),
-    )
-    pooled = ops.maxpool_3x3_p1(ops.depthwise_conv(f, dw_spec))
+    pooled = ops.maxpool_3x3_p1(ops.depthwise_conv(f, ops.reshape(weights.dw, (m, 1, 1))))
     logits = ops.grouped_pointwise(pooled, weights.pw, cfg.groups)
     # one distribution per (item, group): fold the groups into the batch extent
     maps = ops.spatial_softmax(ops.reshape(logits, (b * cfg.groups, 1, h, w)))

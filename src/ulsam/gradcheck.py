@@ -120,40 +120,20 @@ def well_separated_windows(rng: np.random.Generator, shape, gap: float = 1e-3) -
 
 def _conv_checks(rng) -> list[tuple[str, Callable[[], float]]]:
     def standard(shape, n, k, stride, pad, bias):
-        b, m, h, w = shape
-        x = rng.standard_normal(shape)
-        wgt = rng.standard_normal((n, m, k, k))
-        arrays = [x, wgt] + ([rng.standard_normal(n)] if bias else [])
-
-        def fn(xt, wt, *rest):
-            spec = ops.ConvSpec(ops.CONV_STANDARD, m, n, k, stride, pad, weights=wt,
-                                bias=rest[0] if rest else None)
-            return ops.conv2d_standard(xt, spec)
-
-        return lambda: check_fn(fn, arrays, rng)
-
-    def depthwise(shape, k, stride, pad):
-        b, m, h, w = shape
-        arrays = [rng.standard_normal(shape), rng.standard_normal((m, k, k))]
-
-        def fn(xt, wt):
-            spec = ops.ConvSpec(ops.CONV_DEPTHWISE, m, m, k, stride, pad, weights=wt)
-            return ops.depthwise_conv(xt, spec)
-
-        return lambda: check_fn(fn, arrays, rng)
-
-    def pointwise(shape, n, bias):
-        b, m, h, w = shape
-        arrays = [rng.standard_normal(shape), rng.standard_normal((n, m, 1, 1))]
+        arrays = [rng.standard_normal(shape), rng.standard_normal((n, shape[1], k, k))]
         if bias:
             arrays.append(rng.standard_normal(n))
+        return lambda: check_fn(lambda xt, wt, *bt: ops.conv2d_standard(xt, wt, stride, pad, *bt), arrays, rng)
 
-        def fn(xt, wt, *rest):
-            spec = ops.ConvSpec(ops.CONV_POINTWISE, m, n, 1, 1, 0, weights=wt,
-                                bias=rest[0] if rest else None)
-            return ops.pointwise_conv(xt, spec)
+    def depthwise(shape, k, stride, pad):
+        arrays = [rng.standard_normal(shape), rng.standard_normal((shape[1], k, k))]
+        return lambda: check_fn(lambda xt, wt: ops.depthwise_conv(xt, wt, stride, pad), arrays, rng)
 
-        return lambda: check_fn(fn, arrays, rng)
+    def pointwise(shape, n, bias):
+        arrays = [rng.standard_normal(shape), rng.standard_normal((n, shape[1], 1, 1))]
+        if bias:
+            arrays.append(rng.standard_normal(n))
+        return lambda: check_fn(ops.pointwise_conv, arrays, rng)
 
     def grouped(shape, g):
         arrays = [rng.standard_normal(shape), rng.standard_normal(shape[1])]
@@ -356,7 +336,7 @@ def model_end_to_end(seed: int = 0, n_params: int = 24) -> float:
     return worst
 
 
-def run_suite(seed: int = 0, extra_checks: Sequence[tuple[str, Callable[[], float], float]] = ()) -> list[CheckResult]:
+def run_suite(seed: int = 0) -> list[CheckResult]:
     """Run every per-op check plus the end-to-end composition; deterministic per seed."""
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
@@ -366,6 +346,4 @@ def run_suite(seed: int = 0, extra_checks: Sequence[tuple[str, Callable[[], floa
     e2e = model_end_to_end(seed)
     results.append(CheckResult(name="tiny model + attention end-to-end", detail="composition",
                                max_error=e2e, tolerance=END_TO_END_TOL))
-    for name, run, tol in extra_checks:
-        results.append(CheckResult(name=name, detail="extra", max_error=run(), tolerance=tol))
     return results

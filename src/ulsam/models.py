@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -356,15 +356,6 @@ def apply_ulsam(graph: ModelGraph, directives: Sequence, g: int) -> ModelGraph:
 # ---------------------------------------------------------------------------
 
 
-def _conv_spec(graph: ModelGraph, kind: str, name: str, m: int, n: int, k: int, stride: int, pad: int,
-               bias_name: Optional[str] = None) -> ops.ConvSpec:
-    return ops.ConvSpec(
-        kind, m, n, kernel=k, stride=stride, padding=pad,
-        weights=graph.params[name],
-        bias=graph.params[bias_name] if bias_name else None,
-    )
-
-
 def _bn(graph: ModelGraph, name: str, x: Tensor, train: bool) -> Tensor:
     return ops.batch_norm(
         x, graph.params[f"{name}.g"], graph.params[f"{name}.b"],
@@ -378,31 +369,26 @@ _ACTS = {"relu": ops.relu, "relu6": ops.relu6}
 def _layer_forward(graph: ModelGraph, spec: LayerSpec, x: Tensor, train: bool) -> Tensor:
     p = _prefix(spec)
     act = _ACTS[spec.act]
+    w = graph.params
     if spec.kind == KIND_CONV:
-        pad = spec.kernel // 2
-        out = ops.conv2d_standard(
-            x, _conv_spec(graph, ops.CONV_STANDARD, f"{p}.w", spec.in_channels, spec.out_channels,
-                          spec.kernel, spec.stride, pad, f"{p}.b" if spec.bias else None)
-        )
+        bias = w[f"{p}.b"] if spec.bias else None
+        out = ops.conv2d_standard(x, w[f"{p}.w"], spec.stride, spec.kernel // 2, bias)
         if spec.norm_act:
             out = act(_bn(graph, f"{p}.bn", out, train))
         return out
     if spec.kind == KIND_DWS:
-        m, n = spec.in_channels, spec.out_channels
-        out = ops.depthwise_conv(x, _conv_spec(graph, ops.CONV_DEPTHWISE, f"{p}.dw.w", m, m, 3, spec.stride, 1))
+        out = ops.depthwise_conv(x, w[f"{p}.dw.w"], spec.stride, 1)
         out = act(_bn(graph, f"{p}.bn1", out, train))
-        out = ops.pointwise_conv(out, _conv_spec(graph, ops.CONV_POINTWISE, f"{p}.pw.w", m, n, 1, 1, 0))
+        out = ops.pointwise_conv(out, w[f"{p}.pw.w"])
         return act(_bn(graph, f"{p}.bn2", out, train))
     if spec.kind == KIND_BOTTLENECK:
-        m, n, t = spec.in_channels, spec.out_channels, spec.expansion
-        hidden = m * t
         out = x
-        if t != 1:
-            out = ops.pointwise_conv(out, _conv_spec(graph, ops.CONV_POINTWISE, f"{p}.exp.w", m, hidden, 1, 1, 0))
+        if spec.expansion != 1:
+            out = ops.pointwise_conv(out, w[f"{p}.exp.w"])
             out = act(_bn(graph, f"{p}.bn1", out, train))
-        out = ops.depthwise_conv(out, _conv_spec(graph, ops.CONV_DEPTHWISE, f"{p}.dw.w", hidden, hidden, 3, spec.stride, 1))
+        out = ops.depthwise_conv(out, w[f"{p}.dw.w"], spec.stride, 1)
         out = act(_bn(graph, f"{p}.bn2", out, train))
-        out = ops.pointwise_conv(out, _conv_spec(graph, ops.CONV_POINTWISE, f"{p}.proj.w", hidden, n, 1, 1, 0))
+        out = ops.pointwise_conv(out, w[f"{p}.proj.w"])
         out = _bn(graph, f"{p}.bn3", out, train)
         return x + out if spec.has_skip else out
     if spec.kind == KIND_ULSAM:

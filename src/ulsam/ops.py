@@ -14,7 +14,6 @@ row-major window order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,52 +26,6 @@ from .tensor import Array, Tensor, needs_tape, op_result
 CONV_STANDARD = "standard"
 CONV_DEPTHWISE = "depthwise"
 CONV_POINTWISE = "pointwise"
-
-
-@dataclass
-class ConvSpec:
-    """Configuration + weights for one convolution.
-
-    Weight layouts: standard ``(n, m, k, k)``, depthwise ``(m, k, k)`` (one
-    kernel per input channel), pointwise ``(n, m, 1, 1)``.
-    """
-
-    kind: str
-    in_channels: int
-    out_channels: int
-    kernel: int
-    stride: int
-    padding: int
-    weights: Tensor
-    bias: Optional[Tensor] = None
-
-    def __post_init__(self):
-        if self.kind not in (CONV_STANDARD, CONV_DEPTHWISE, CONV_POINTWISE):
-            raise ConfigurationError(f"unknown conv kind {self.kind!r}")
-        if self.stride < 1 or self.padding < 0:
-            raise ConfigurationError(
-                f"conv: stride must be >= 1 and padding >= 0, got stride={self.stride} padding={self.padding}"
-            )
-        if self.kind == CONV_DEPTHWISE:
-            if self.out_channels != self.in_channels:
-                raise ConfigurationError(
-                    f"depthwise conv: out_channels {self.out_channels} != in_channels {self.in_channels}"
-                )
-            expect = (self.in_channels, self.kernel, self.kernel)
-            if self.weights.shape != expect:
-                raise ConfigurationError(f"depthwise weights shape {self.weights.shape}, expected {expect}")
-        elif self.kind == CONV_POINTWISE:
-            if self.kernel != 1:
-                raise ConfigurationError(f"pointwise conv requires kernel 1, got {self.kernel}")
-            expect = (self.out_channels, self.in_channels, 1, 1)
-            if self.weights.shape != expect:
-                raise ConfigurationError(f"pointwise weights shape {self.weights.shape}, expected {expect}")
-        else:
-            expect = (self.out_channels, self.in_channels, self.kernel, self.kernel)
-            if self.weights.shape != expect:
-                raise ConfigurationError(f"standard conv weights shape {self.weights.shape}, expected {expect}")
-        if self.bias is not None and self.bias.shape != (self.out_channels,):
-            raise ConfigurationError(f"bias shape {self.bias.shape}, expected ({self.out_channels},)")
 
 
 def _require_rank4(x: Tensor, who: str) -> None:
@@ -110,44 +63,57 @@ def _pad_spatial(x: Array, pad: int, value: float = 0.0) -> Array:
 # ---------------------------------------------------------------------------
 
 
-def conv2d_standard(x: Tensor, spec: ConvSpec) -> Tensor:
-    """Dense cross-correlation over all input channels."""
-    if spec.kind != CONV_STANDARD:
-        raise ConfigurationError(f"conv2d_standard called with kind {spec.kind!r}")
+def _check_conv(who: str, x: Tensor, weights: Tensor, expect: tuple, stride: int = 1, padding: int = 0,
+                bias: Optional[Tensor] = None) -> None:
+    """``expect`` is the weight shape that fits ``x``; its first extent is the output channel count."""
+    if weights.shape != expect:
+        raise ConfigurationError(
+            f"{who}: weights shape {weights.shape} does not match the {x.shape[1]} input channels, expected {expect}"
+        )
+    if stride < 1 or padding < 0:
+        raise ConfigurationError(f"{who}: stride must be >= 1 and padding >= 0, got stride={stride} padding={padding}")
+    if bias is not None and bias.shape != expect[:1]:
+        raise ConfigurationError(f"{who}: bias shape {bias.shape}, expected {expect[:1]}")
+
+
+def conv2d_standard(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 0,
+                    bias: Optional[Tensor] = None) -> Tensor:
+    """Dense cross-correlation over all input channels; ``weights`` is ``(n, m, k, k)``."""
     _require_rank4(x, "conv2d_standard")
     b, m, h, w = x.shape
-    if m != spec.in_channels:
-        raise ConfigurationError(f"conv2d_standard: input has {m} channels but spec.in_channels is {spec.in_channels}")
-    k, stride, pad, n = spec.kernel, spec.stride, spec.padding, spec.out_channels
-    h_out = _out_extent(h, pad, k, stride, "conv2d_standard")
-    w_out = _out_extent(w, pad, k, stride, "conv2d_standard")
+    expect = weights.shape[:1] + (m,) + weights.shape[-1:] * 2  # (n, m, k, k)
+    _check_conv("conv2d_standard", x, weights, expect, stride, padding, bias)
+    n, _, k, _ = weights.shape
+    h_out = _out_extent(h, padding, k, stride, "conv2d_standard")
+    w_out = _out_extent(w, padding, k, stride, "conv2d_standard")
 
-    xp = _pad_spatial(x.data, pad)
+    xp = _pad_spatial(x.data, padding)
     win = _windows(xp, k, stride, h_out, w_out)
     # (b*hw, m*k*k) @ (m*k*k, n): one GEMM per forward
     cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(b * h_out * w_out, m * k * k)
-    w_mat = spec.weights.data.reshape(n, m * k * k)
+    w_mat = weights.data.reshape(n, m * k * k)
     out = cols @ w_mat.T
     instrument.tally(CONV_STANDARD, b * n * h_out * w_out * m * k * k)
-    if spec.bias is not None:
-        out = out + spec.bias.data[None, :]
+    if bias is not None:
+        out = out + bias.data[None, :]
     out = out.reshape(b, h_out, w_out, n).transpose(0, 3, 1, 2)
 
-    inputs = (x, spec.weights) + ((spec.bias,) if spec.bias is not None else ())
+    inputs = (x, weights) + ((bias,) if bias is not None else ())
 
-    def _bwd(g: Array, x=x, spec=spec, cols=cols, shape=(b, m, h, w), geom=(h_out, w_out)) -> None:
-        bb, mm, hh, ww = shape
+    def _bwd(g: Array, x=x, weights=weights, bias=bias, cols=cols, st=stride, pd=padding,
+             geom=(h_out, w_out)) -> None:
+        bb, mm, hh, ww = x.shape
+        nn, _, kk, _ = weights.shape
         ho, wo = geom
-        kk, st, pd, nn = spec.kernel, spec.stride, spec.padding, spec.out_channels
         g_mat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(bb * ho * wo, nn)
-        if needs_tape(spec.weights):
+        if needs_tape(weights):
             dw = (g_mat.T @ cols).reshape(nn, mm, kk, kk)
-            spec.weights.accumulate_grad(dw)
-        if spec.bias is not None and needs_tape(spec.bias):
-            spec.bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
+            weights.accumulate_grad(dw)
+        if bias is not None and needs_tape(bias):
+            bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
         if needs_tape(x):
             dxp = np.zeros((bb, mm, hh + 2 * pd, ww + 2 * pd), dtype=g.dtype)
-            wdat = spec.weights.data
+            wdat = weights.data
             for i in range(kk):
                 for j in range(kk):
                     # (b,n,ho,wo) x (n,m) -> (b,ho,wo,m)
@@ -158,79 +124,65 @@ def conv2d_standard(x: Tensor, spec: ConvSpec) -> Tensor:
     return op_result(np.ascontiguousarray(out), inputs, _bwd, "conv2d")
 
 
-def depthwise_conv(x: Tensor, spec: ConvSpec) -> Tensor:
-    """Per-channel cross-correlation: output channel c depends only on input channel c."""
-    if spec.kind != CONV_DEPTHWISE:
-        raise ConfigurationError(f"depthwise_conv called with kind {spec.kind!r}")
+def depthwise_conv(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """Per-channel cross-correlation, ``weights`` ``(m, k, k)``: output channel c depends only on input channel c."""
     _require_rank4(x, "depthwise_conv")
     b, m, h, w = x.shape
-    if m != spec.in_channels:
-        raise ConfigurationError(f"depthwise_conv: input has {m} channels but spec.in_channels is {spec.in_channels}")
-    k, stride, pad = spec.kernel, spec.stride, spec.padding
-    h_out = _out_extent(h, pad, k, stride, "depthwise_conv")
-    w_out = _out_extent(w, pad, k, stride, "depthwise_conv")
+    _check_conv("depthwise_conv", x, weights, (m,) + weights.shape[-1:] * 2, stride, padding)
+    k = weights.shape[-1]
+    h_out = _out_extent(h, padding, k, stride, "depthwise_conv")
+    w_out = _out_extent(w, padding, k, stride, "depthwise_conv")
 
-    xp = _pad_spatial(x.data, pad)
+    xp = _pad_spatial(x.data, padding)
     win = _windows(xp, k, stride, h_out, w_out)
-    out = np.einsum("bchwij,cij->bchw", win, spec.weights.data, optimize=True)
+    out = np.einsum("bchwij,cij->bchw", win, weights.data, optimize=True)
     instrument.tally(CONV_DEPTHWISE, b * m * h_out * w_out * k * k)
-    if spec.bias is not None:
-        out = out + spec.bias.data[None, :, None, None]
 
-    inputs = (x, spec.weights) + ((spec.bias,) if spec.bias is not None else ())
-
-    def _bwd(g: Array, x=x, spec=spec, xp=xp, shape=(b, m, h, w), geom=(h_out, w_out)) -> None:
-        bb, mm, hh, ww = shape
+    def _bwd(g: Array, x=x, weights=weights, xp=xp, st=stride, pd=padding, geom=(h_out, w_out)) -> None:
+        bb, mm, hh, ww = x.shape
+        kk = weights.shape[-1]
         ho, wo = geom
-        kk, st, pd = spec.kernel, spec.stride, spec.padding
-        if needs_tape(spec.weights):
+        if needs_tape(weights):
             win_b = _windows(xp, kk, st, ho, wo)
             dw = np.einsum("bchwij,bchw->cij", win_b, g, optimize=True)
-            spec.weights.accumulate_grad(dw)
-        if spec.bias is not None and needs_tape(spec.bias):
-            spec.bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
+            weights.accumulate_grad(dw)
         if needs_tape(x):
             dxp = np.zeros((bb, mm, hh + 2 * pd, ww + 2 * pd), dtype=g.dtype)
-            wdat = spec.weights.data
+            wdat = weights.data
             for i in range(kk):
                 for j in range(kk):
                     dxp[:, :, i : i + st * ho : st, j : j + st * wo : st] += g * wdat[None, :, i, j, None, None]
             x.accumulate_grad(dxp[:, :, pd : pd + hh, pd : pd + ww] if pd else dxp)
 
-    return op_result(np.ascontiguousarray(out), inputs, _bwd, "depthwise_conv")
+    return op_result(np.ascontiguousarray(out), (x, weights), _bwd, "depthwise_conv")
 
 
-def pointwise_conv(x: Tensor, spec: ConvSpec) -> Tensor:
-    """1x1 convolution: a linear mix across channels at each spatial position."""
-    if spec.kind != CONV_POINTWISE:
-        raise ConfigurationError(f"pointwise_conv called with kind {spec.kind!r}")
-    if spec.stride != 1 or spec.padding != 0:
-        raise ConfigurationError("pointwise_conv: stride must be 1 and padding 0")
+def pointwise_conv(x: Tensor, weights: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """1x1 convolution, ``weights`` ``(n, m, 1, 1)``: a linear mix across channels at each spatial position."""
     _require_rank4(x, "pointwise_conv")
     b, m, h, w = x.shape
-    if m != spec.in_channels:
-        raise ConfigurationError(f"pointwise_conv: input has {m} channels but spec.in_channels is {spec.in_channels}")
-    n = spec.out_channels
-    w2d = spec.weights.data.reshape(n, m)
+    _check_conv("pointwise_conv", x, weights, weights.shape[:1] + (m, 1, 1), bias=bias)
+    n = weights.shape[0]
+    w2d = weights.data.reshape(n, m)
     out = np.matmul(w2d, x.data.reshape(b, m, h * w)).reshape(b, n, h, w)
     instrument.tally(CONV_POINTWISE, b * m * n * h * w)
-    if spec.bias is not None:
-        out = out + spec.bias.data[None, :, None, None]
+    if bias is not None:
+        out = out + bias.data[None, :, None, None]
 
-    inputs = (x, spec.weights) + ((spec.bias,) if spec.bias is not None else ())
+    inputs = (x, weights) + ((bias,) if bias is not None else ())
 
-    def _bwd(g: Array, x=x, spec=spec, shape=(b, m, h, w)) -> None:
-        bb, mm, hh, ww = shape
-        nn = spec.out_channels
+    def _bwd(g: Array, x=x, weights=weights, bias=bias) -> None:
+        bb, mm, hh, ww = x.shape
+        nn = weights.shape[0]
         g_flat = g.reshape(bb, nn, hh * ww)
-        if needs_tape(spec.weights):
+        if needs_tape(weights):
             x_flat = x.data.reshape(bb, mm, hh * ww)
             dw = np.einsum("bnl,bml->nm", g_flat, x_flat, optimize=True)
-            spec.weights.accumulate_grad(dw.reshape(nn, mm, 1, 1))
-        if spec.bias is not None and needs_tape(spec.bias):
-            spec.bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
+            weights.accumulate_grad(dw.reshape(nn, mm, 1, 1))
+        if bias is not None and needs_tape(bias):
+            bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
         if needs_tape(x):
-            w2d_b = spec.weights.data.reshape(nn, mm)
+            w2d_b = weights.data.reshape(nn, mm)
             dx = np.matmul(w2d_b.T, g_flat).reshape(bb, mm, hh, ww)
             x.accumulate_grad(dx)
 

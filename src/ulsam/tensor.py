@@ -84,9 +84,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def backward(self, upstream: Optional[Array] = None) -> None:
         """Propagate gradients from this tensor to every reachable input.
 
@@ -141,14 +138,6 @@ class Tensor:
                 b.accumulate_grad(g)
 
         return op_result(self.data + other.data, (self, other), _bwd, "add")
-
-
-def as_tensor(x, dtype=None) -> Tensor:
-    """Wrap arrays/lists into a leaf Tensor without recording gradients."""
-    if isinstance(x, Tensor):
-        return x
-    arr = np.asarray(x, dtype=dtype if dtype is not None else np.float64)
-    return Tensor(arr)
 
 
 def parameter(data, name: str = "", dtype=None) -> Tensor:

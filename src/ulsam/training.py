@@ -23,7 +23,7 @@ import numpy as np
 
 from . import models
 from .errors import CheckpointError, ConfigurationError, DataError, IngestionError
-from .tensor import Tensor
+from .tensor import Tensor, op_result
 
 CHECKPOINT_MAGIC = b"ULSM"
 CHECKPOINT_VERSION = 1
@@ -39,25 +39,17 @@ CIFAR10_STD = (0.2470, 0.2435, 0.2616)
 
 @dataclass(frozen=True)
 class StepDecay:
-    """Divide the rate by 10 every ``every`` epochs."""
+    """Divide the rate by 10 every 30 epochs."""
 
-    factor: float = 0.1
-    every: int = 30
-
-    def __post_init__(self):
-        if not (0.0 < self.factor < 1.0) or self.every < 1:
-            raise ConfigurationError("step decay: factor must be in (0,1) and period >= 1")
+    factor = 0.1
+    every = 30
 
 
 @dataclass(frozen=True)
 class ExpDecay:
-    """Multiply the rate by ``factor`` after every epoch."""
+    """Multiply the rate by 0.98 after every epoch."""
 
-    factor: float = 0.98
-
-    def __post_init__(self):
-        if not (0.0 < self.factor < 1.0):
-            raise ConfigurationError("exp decay: factor must be in (0,1)")
+    factor = 0.98
 
 
 Schedule = Union[StepDecay, ExpDecay]
@@ -133,17 +125,14 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1))
     losses = lse - z[np.arange(b), labels]
-    out = Tensor(np.array(losses.mean(), dtype=logits.dtype), parents=(logits,), name="cross_entropy")
 
     def _bwd(g, logits=logits, z=z, labels=labels, b=b):
-        if logits.requires_grad or logits._parents:
-            soft = np.exp(z)
-            soft /= soft.sum(axis=1, keepdims=True)
-            soft[np.arange(b), labels] -= 1.0
-            logits.accumulate_grad(float(g) * soft / b)
+        soft = np.exp(z)
+        soft /= soft.sum(axis=1, keepdims=True)
+        soft[np.arange(b), labels] -= 1.0
+        logits.accumulate_grad(float(g) * soft / b)
 
-    out._backward = _bwd
-    return out
+    return op_result(np.array(losses.mean(), dtype=logits.dtype), (logits,), _bwd, "cross_entropy")
 
 
 def topk_accuracy(logits: np.ndarray, labels: np.ndarray, k: int) -> float:

@@ -61,12 +61,10 @@ def reference_block(f, cfg, weights):
     for k in range(cfg.groups):
         lo, hi = k * width, (k + 1) * width
         f_k = ops.channel_slice(f, lo, hi)
-        dw_spec = ops.ConvSpec(ops.CONV_DEPTHWISE, width, width, kernel=1, stride=1, padding=0,
-                               weights=ops.reshape(ops.slice1d(weights.dw, lo, hi), (width, 1, 1)))
-        pw_spec = ops.ConvSpec(ops.CONV_POINTWISE, width, 1, kernel=1, stride=1, padding=0,
-                               weights=ops.reshape(ops.slice1d(weights.pw, lo, hi), (1, width, 1, 1)))
-        pooled = ops.maxpool_3x3_p1(ops.depthwise_conv(f_k, dw_spec))
-        a = ops.spatial_softmax(ops.pointwise_conv(pooled, pw_spec))
+        dw = ops.reshape(ops.slice1d(weights.dw, lo, hi), (width, 1, 1))
+        pw = ops.reshape(ops.slice1d(weights.pw, lo, hi), (1, width, 1, 1))
+        pooled = ops.maxpool_3x3_p1(ops.depthwise_conv(f_k, dw))
+        a = ops.spatial_softmax(ops.pointwise_conv(pooled, pw))
         maps.append(a)
         refined.append(ops.broadcast_mul_add(f_k, a))
     return ops.channel_concat(refined), ops.channel_concat(maps)
@@ -125,8 +123,8 @@ def test_split_groups_degenerate_cases():
     x, w = rng.normal(size=(1, 4, 2, 2)), rng.normal(size=4)
     # one group: a single pointwise filter over every channel
     whole = ops.grouped_pointwise(t(x), t(w), 1)
-    spec = ops.ConvSpec(ops.CONV_POINTWISE, 4, 1, kernel=1, stride=1, padding=0, weights=t(w.reshape(1, 4, 1, 1)))
-    np.testing.assert_allclose(whole.data, ops.pointwise_conv(t(x), spec).data, rtol=0, atol=1e-15)
+    filt = t(w.reshape(1, 4, 1, 1))
+    np.testing.assert_allclose(whole.data, ops.pointwise_conv(t(x), filt).data, rtol=0, atol=1e-15)
     # one channel per group: a per-channel scale, and one map per channel
     singles = ops.grouped_pointwise(t(x), t(w), 4)
     np.testing.assert_array_equal(singles.data, x * w[None, :, None, None])

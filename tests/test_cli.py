@@ -1,11 +1,14 @@
 """Command-line surface: exit codes, output formats, overrides, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
+import ulsam
 from ulsam import cli
 
 
@@ -218,7 +221,10 @@ def test_missing_dataset_file_exits_2(tmp_path, capsys):
 
 
 def test_module_invocation_runs():
+    # the child imports the same checkout as this test run
+    src = str(Path(ulsam.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "ulsam.cli", "table1"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "ULSAM" in proc.stdout

@@ -14,44 +14,37 @@ def t(arr, **kw):
     return Tensor(np.asarray(arr, dtype=np.float64), **kw)
 
 
-def std_spec(w, stride=1, pad=0, bias=None):
-    w = t(w)
-    n, m, k, _ = w.shape
-    return ops.ConvSpec(ops.CONV_STANDARD, m, n, k, stride, pad, weights=w,
-                        bias=t(bias) if bias is not None else None)
-
-
 # ---------------------------------------------------------------------------
 # standard convolution
 # ---------------------------------------------------------------------------
 
 
 def test_conv2d_all_ones_sums_window():
-    out = ops.conv2d_standard(t(np.ones((1, 1, 3, 3))), std_spec(np.ones((1, 1, 3, 3))))
+    out = ops.conv2d_standard(t(np.ones((1, 1, 3, 3))), t(np.ones((1, 1, 3, 3))))
     assert out.shape == (1, 1, 1, 1)
     assert out.data[0, 0, 0, 0] == 9.0
 
 
 def test_conv2d_identity_kernel():
     x = np.random.default_rng(0).normal(size=(1, 1, 4, 4))
-    out = ops.conv2d_standard(t(x), std_spec(np.ones((1, 1, 1, 1))))
+    out = ops.conv2d_standard(t(x), t(np.ones((1, 1, 1, 1))))
     np.testing.assert_array_equal(out.data, x)
 
 
 def test_conv2d_output_extents():
     x = t(np.zeros((2, 3, 11, 9)))
-    out = ops.conv2d_standard(x, std_spec(np.zeros((4, 3, 3, 3)), stride=2, pad=1))
+    out = ops.conv2d_standard(x, t(np.zeros((4, 3, 3, 3))), stride=2, padding=1)
     assert out.shape == (2, 4, (11 + 2 - 3) // 2 + 1, (9 + 2 - 3) // 2 + 1)
 
 
 def test_conv2d_channel_mismatch_names_extent():
     with pytest.raises(ConfigurationError, match="channels"):
-        ops.conv2d_standard(t(np.zeros((1, 5, 4, 4))), std_spec(np.zeros((2, 3, 3, 3))))
+        ops.conv2d_standard(t(np.zeros((1, 5, 4, 4))), t(np.zeros((2, 3, 3, 3))))
 
 
 def test_conv2d_kernel_too_large():
     with pytest.raises(ConfigurationError, match="does not fit"):
-        ops.conv2d_standard(t(np.zeros((1, 1, 2, 2))), std_spec(np.zeros((1, 1, 3, 3))))
+        ops.conv2d_standard(t(np.zeros((1, 1, 2, 2))), t(np.zeros((1, 1, 3, 3))))
 
 
 def test_conv2d_gradients_match_finite_differences():
@@ -59,17 +52,14 @@ def test_conv2d_gradients_match_finite_differences():
     x = rng.normal(size=(1, 3, 5, 5))
     w = rng.normal(size=(2, 3, 3, 3))
 
-    def fn(xt, wt):
-        return ops.conv2d_standard(xt, ops.ConvSpec(ops.CONV_STANDARD, 3, 2, 3, 1, 0, weights=wt))
-
-    assert gradcheck.check_fn(fn, [x, w], rng) < 1e-6
+    assert gradcheck.check_fn(ops.conv2d_standard, [x, w], rng) < 1e-6
 
 
 def test_conv2d_deterministic():
     rng = np.random.default_rng(2)
     x, w = rng.normal(size=(2, 3, 8, 8)), rng.normal(size=(4, 3, 3, 3))
-    a = ops.conv2d_standard(t(x), std_spec(w, stride=2, pad=1)).data
-    b = ops.conv2d_standard(t(x), std_spec(w, stride=2, pad=1)).data
+    a = ops.conv2d_standard(t(x), t(w), stride=2, padding=1).data
+    b = ops.conv2d_standard(t(x), t(w), stride=2, padding=1).data
     np.testing.assert_array_equal(a, b)
 
 
@@ -78,21 +68,15 @@ def test_conv2d_deterministic():
 # ---------------------------------------------------------------------------
 
 
-def dw_spec(w, stride=1, pad=0):
-    w = t(w)
-    m = w.shape[0]
-    return ops.ConvSpec(ops.CONV_DEPTHWISE, m, m, w.shape[1], stride, pad, weights=w)
-
-
 def test_depthwise_per_channel_scaling():
     x = np.stack([np.full((3, 3), 1.0), np.full((3, 3), 1.0)])[None]
-    out = ops.depthwise_conv(t(x), dw_spec(np.array([2.0, 3.0]).reshape(2, 1, 1)))
+    out = ops.depthwise_conv(t(x), t(np.array([2.0, 3.0]).reshape(2, 1, 1)))
     np.testing.assert_array_equal(out.data[0, 0], np.full((3, 3), 2.0))
     np.testing.assert_array_equal(out.data[0, 1], np.full((3, 3), 3.0))
 
 
 def test_depthwise_all_ones_window_sum():
-    out = ops.depthwise_conv(t(np.ones((1, 2, 3, 3))), dw_spec(np.ones((2, 3, 3))))
+    out = ops.depthwise_conv(t(np.ones((1, 2, 3, 3))), t(np.ones((2, 3, 3))))
     assert out.shape == (1, 2, 1, 1)
     np.testing.assert_array_equal(out.data.ravel(), [9.0, 9.0])
 
@@ -101,45 +85,69 @@ def test_depthwise_channel_independence_bitwise():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(1, 3, 5, 5))
     w = rng.normal(size=(3, 3, 3))
-    base = ops.depthwise_conv(t(x), dw_spec(w, pad=1)).data
+    base = ops.depthwise_conv(t(x), t(w), padding=1).data
     poked = x.copy()
     poked[0, 0] += rng.normal(size=(5, 5))
-    out = ops.depthwise_conv(t(poked), dw_spec(w, pad=1)).data
+    out = ops.depthwise_conv(t(poked), t(w), padding=1).data
     np.testing.assert_array_equal(base[0, 1:], out[0, 1:])
 
 
 def test_depthwise_rejects_channel_change():
-    with pytest.raises(ConfigurationError, match="out_channels"):
-        ops.ConvSpec(ops.CONV_DEPTHWISE, 2, 3, 1, 1, 0, weights=t(np.zeros((2, 1, 1))))
+    # one kernel per input channel: three kernels cannot run over two channels
+    with pytest.raises(ConfigurationError, match="2 input channels"):
+        ops.depthwise_conv(t(np.zeros((1, 2, 3, 3))), t(np.zeros((3, 1, 1))))
 
 
 def test_pointwise_summation_filter():
     x = np.arange(27, dtype=np.float64).reshape(1, 3, 3, 3)
-    out = ops.pointwise_conv(t(x), ops.ConvSpec(ops.CONV_POINTWISE, 3, 1, 1, 1, 0,
-                                                weights=t(np.ones((1, 3, 1, 1)))))
+    out = ops.pointwise_conv(t(x), t(np.ones((1, 3, 1, 1))))
     np.testing.assert_allclose(out.data[0, 0], x.sum(axis=1)[0])
 
 
 def test_pointwise_identity_matrix():
     x = np.random.default_rng(4).normal(size=(2, 3, 4, 4))
     w = np.eye(3).reshape(3, 3, 1, 1)
-    out = ops.pointwise_conv(t(x), ops.ConvSpec(ops.CONV_POINTWISE, 3, 3, 1, 1, 0, weights=t(w)))
+    out = ops.pointwise_conv(t(x), t(w))
     np.testing.assert_array_equal(out.data, x)
 
 
 def test_pointwise_requires_kernel_one():
-    with pytest.raises(ConfigurationError, match="kernel"):
-        ops.ConvSpec(ops.CONV_POINTWISE, 3, 1, 3, 1, 0, weights=t(np.zeros((1, 3, 1, 1))))
+    with pytest.raises(ConfigurationError, match=r"expected \(1, 3, 1, 1\)"):
+        ops.pointwise_conv(t(np.zeros((1, 3, 4, 4))), t(np.zeros((1, 3, 3, 3))))
 
 
 def test_pointwise_gradients():
     rng = np.random.default_rng(5)
     x, w = rng.normal(size=(2, 3, 4, 4)), rng.normal(size=(2, 3, 1, 1))
 
-    def fn(xt, wt):
-        return ops.pointwise_conv(xt, ops.ConvSpec(ops.CONV_POINTWISE, 3, 2, 1, 1, 0, weights=wt))
+    assert gradcheck.check_fn(ops.pointwise_conv, [x, w], rng) < 1e-6
 
-    assert gradcheck.check_fn(fn, [x, w], rng) < 1e-6
+
+@pytest.mark.parametrize("stride,padding", [(0, 0), (1, -1)])
+def test_conv_kernels_reject_bad_stride_or_padding(stride, padding):
+    x = t(np.zeros((1, 3, 5, 5)))
+    with pytest.raises(ConfigurationError, match="stride must be >= 1 and padding >= 0"):
+        ops.conv2d_standard(x, t(np.zeros((2, 3, 3, 3))), stride, padding)
+    with pytest.raises(ConfigurationError, match="stride must be >= 1 and padding >= 0"):
+        ops.depthwise_conv(x, t(np.zeros((3, 3, 3))), stride, padding)
+
+
+def test_conv_kernels_check_bias_length():
+    x = t(np.zeros((1, 3, 4, 4)))
+    with pytest.raises(ConfigurationError, match="bias shape"):
+        ops.conv2d_standard(x, t(np.zeros((2, 3, 3, 3))), bias=t(np.zeros(3)))
+    with pytest.raises(ConfigurationError, match="bias shape"):
+        ops.pointwise_conv(x, t(np.zeros((2, 3, 1, 1))), bias=t(np.zeros(3)))
+
+
+@pytest.mark.parametrize("kernel,wshape", [
+    (ops.conv2d_standard, (3, 3, 3)), (ops.conv2d_standard, ()),
+    (ops.depthwise_conv, (3, 1, 3, 3)), (ops.depthwise_conv, ()),
+    (ops.pointwise_conv, (2, 3)), (ops.pointwise_conv, ()),
+])
+def test_conv_kernels_reject_weights_of_wrong_rank(kernel, wshape):
+    with pytest.raises(ConfigurationError, match="does not match the 3 input channels"):
+        kernel(t(np.zeros((1, 3, 4, 4))), t(np.zeros(wshape)))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +395,7 @@ def test_batch_norm_infer_uses_running_stats_only():
 def test_float32_inputs_stay_float32():
     x = Tensor(np.zeros((1, 1, 3, 3), dtype=np.float32))
     w = Tensor(np.ones((1, 1, 3, 3), dtype=np.float32))
-    out = ops.conv2d_standard(x, ops.ConvSpec(ops.CONV_STANDARD, 1, 1, 3, 1, 0, weights=w))
+    out = ops.conv2d_standard(x, w)
     assert out.dtype == np.float32
 
 

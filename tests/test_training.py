@@ -98,8 +98,6 @@ def test_train_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(ConfigurationError):
         TrainConfig(momentum=1.0)
-    with pytest.raises(ConfigurationError):
-        StepDecay(factor=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +123,15 @@ def test_cross_entropy_gradient_matches_finite_differences():
     labels = np.array([1, 0, 3])
     err = gradcheck.check_fn(lambda z: cross_entropy(z, labels), [rng.normal(size=(3, 4))], rng)
     assert err < 1e-6
+
+
+def test_cross_entropy_tape_only_when_logits_need_it():
+    labels = np.array([1, 0])
+    loss = cross_entropy(Tensor(np.zeros((2, 3))), labels)
+    assert loss._parents == () and loss._backward is None
+    logits = parameter(np.zeros((2, 3)))
+    loss = cross_entropy(logits, labels)
+    assert loss._parents == (logits,) and loss._backward is not None
 
 
 def test_cross_entropy_rejects_bad_labels():
