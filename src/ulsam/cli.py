@@ -253,8 +253,8 @@ def cmd_describe(args) -> int:
     if args.format == "json":
         payload = {
             "arch": graph.arch, "alpha": graph.alpha, "num_classes": graph.num_classes,
-            "ulsam_positions": graph.metadata.get("ulsam_positions", []),
-            "ulsam_g": graph.metadata.get("ulsam_g"),
+            "ulsam_positions": graph.ulsam_positions,
+            "ulsam_g": graph.ulsam_g,
             "layers": [
                 {"layer": s.index, "kind": s.kind, "in": s.in_channels, "out": s.out_channels,
                  "stride": s.stride, "out_hw": hw[0]}
@@ -264,8 +264,8 @@ def cmd_describe(args) -> int:
         _emit(args, json.dumps(payload, indent=2))
         return 0
     lines = [f"{graph.arch} (alpha={graph.alpha}, classes={graph.num_classes})"]
-    if graph.metadata.get("ulsam_positions"):
-        lines.append(f"attention positions: {', '.join(graph.metadata['ulsam_positions'])} (g={graph.metadata['ulsam_g']})")
+    if graph.ulsam_positions:
+        lines.append(f"attention positions: {', '.join(graph.ulsam_positions)} (g={graph.ulsam_g})")
     lines.append(f"{'layer':>8}  {'kind':<12} {'in->out':<14} {'stride':>6} {'out hw':>7}")
     for s, hw in zip(graph.layers, trace):
         lines.append(f"{s.index:>8}  {s.kind:<12} {f'{s.in_channels}->{s.out_channels}':<14} {s.stride:>6} {hw[0]:>7}")

@@ -1,15 +1,16 @@
-"""Analytic cost accounting: parameters and multiply-accumulates.
+"""Cost accounting: parameters and multiply-accumulates.
 
 All counts are exact integers. "MACs" counts one multiply-accumulate per
 kernel tap of every convolution/FC layer (the usual mobile-CNN convention,
 where this quantity is often labelled FLOPs); normalization, activations,
 pooling, softmax, and the attention block's elementwise redistribution are
-excluded. Spatial extents are the layer's *output* extents.
+excluded. Spatial extents are the layer's *output* extents. MACs come from
+closed forms, a reference independent of the kernels' own tallies.
 
-Parameter totals count convolution/FC weights and biases. Batch-norm affine
-pairs are excluded by default - that is the accounting that reproduces the
-widely quoted MobileNet totals (4.2M parameters / 569M MACs at width 1.0) and
-their attention-modified variants - and can be included with
+Parameter counts are the sizes of the built graph's weight and bias tensors.
+Batch-norm affine pairs are excluded by default - that is the accounting that
+reproduces the widely quoted MobileNet totals (4.2M parameters / 569M MACs at
+width 1.0) and their attention-modified variants - and can be included with
 ``include_bn_params=True``.
 """
 
@@ -24,8 +25,6 @@ from .models import (
     KIND_CONV,
     KIND_DWS,
     KIND_FC,
-    KIND_GAP,
-    KIND_SOFTMAX,
     KIND_ULSAM,
     ModelGraph,
     spatial_trace,
@@ -107,18 +106,19 @@ def attention_overhead(q: AttentionOverheadQuery) -> dict[str, int]:
     return {"params": mlp + 98, "macs": mlp + 98 * hw}
 
 
-def table1_rows(m: int = 512, h: int = 14, w: int = 14, reduction: int = 16,
-                maps: Optional[int] = None) -> list[dict]:
+def table1_rows() -> list[dict]:
     """The six-block overhead comparison, normalized against the subspace block.
 
+    Every block sits at the paper's reference point: m = 512 channels on a
+    14x14 map, MLP reduction r = 16, and the A2Net default of m / 8 maps.
     Normalized columns are the exact ratios of the unrounded counts, shown to
     two decimals; display columns round params to thousands and MACs to
     hundredths of a million.
     """
-    base = attention_overhead(AttentionOverheadQuery("ULSAM", m, h, w))
+    base = attention_overhead(AttentionOverheadQuery("ULSAM", 512, 14, 14))
     rows = []
     for kind in ATTENTION_KINDS:
-        c = attention_overhead(AttentionOverheadQuery(kind, m, h, w, maps=maps, reduction=reduction))
+        c = attention_overhead(AttentionOverheadQuery(kind, 512, 14, 14, reduction=16))
         rows.append(
             {
                 "kind": kind,
@@ -203,48 +203,31 @@ def analyze_model(graph: ModelGraph, input_hw: int = 224, include_bn_params: boo
             macs_by_kind[kind] = macs_by_kind.get(kind, 0) + n
 
     for spec, (h_out, w_out) in zip(graph.layers, trace):
-        params = 0
         macs = 0
         m, n = spec.in_channels, spec.out_channels
         if spec.kind == KIND_CONV:
-            params = spec.kernel * spec.kernel * m * n
-            if spec.bias:
-                params += n
-            if include_bn_params and spec.norm_act:
-                params += 2 * n
             macs = flops_sconv(spec.kernel, m, n, h_out, w_out)
             kind_add("standard", macs)
         elif spec.kind == KIND_DWS:
-            params = 9 * m + m * n
-            if include_bn_params:
-                params += 2 * m + 2 * n
             dw, pw = flops_dws(3, m, n, h_out, w_out)
             macs = dw + pw
             kind_add("depthwise", dw)
             kind_add("pointwise", pw)
         elif spec.kind == KIND_BOTTLENECK:
             hidden = m * spec.expansion
-            pw_macs = 0
-            if spec.expansion != 1:
-                params += m * hidden + (2 * hidden if include_bn_params else 0)
-                pw_macs += m * hidden * h_in * w_in
-            params += 9 * hidden + (2 * hidden if include_bn_params else 0)
-            params += hidden * n + (2 * n if include_bn_params else 0)
+            pw_macs = m * hidden * h_in * w_in if spec.expansion != 1 else 0
             dw_macs = 9 * hidden * h_out * w_out
             pw_macs += hidden * n * h_out * w_out
             macs = dw_macs + pw_macs
             kind_add("depthwise", dw_macs)
             kind_add("pointwise", pw_macs)
         elif spec.kind == KIND_ULSAM:
-            params = 2 * m
             macs = 2 * m * h_out * w_out
             kind_add("ulsam", macs)
         elif spec.kind == KIND_FC:
-            params = m * n + n
             macs = m * n
             kind_add("fc", macs)
-        elif spec.kind in (KIND_GAP, KIND_SOFTMAX):
-            pass
+        params = sum(t.size for t in graph.layer_params(spec, include_bn_params))
         rows.append(CostRow(layer=spec.index, kind=spec.kind, params=int(params), macs=int(macs)))
         h_in, w_in = h_out, w_out
 
@@ -263,8 +246,8 @@ def analyze_model(graph: ModelGraph, input_hw: int = 224, include_bn_params: boo
             "num_classes": graph.num_classes,
             "input_hw": input_hw,
             "include_bn_params": include_bn_params,
-            "ulsam_positions": list(graph.metadata.get("ulsam_positions", [])),
-            "ulsam_g": graph.metadata.get("ulsam_g"),
+            "ulsam_positions": graph.ulsam_positions,
+            "ulsam_g": graph.ulsam_g,
         },
     )
 

@@ -22,6 +22,8 @@ from . import attention, models, ops, training
 from .tensor import Tensor, parameter
 
 EPS = 1e-5
+GAP = 1e-3  # minimum distance from a kink, and max-pool window margin
+E2E_PARAMS = 24  # parameter entries checked by the end-to-end composition
 PER_OP_TOL = 1e-4
 END_TO_END_TOL = 1e-3
 
@@ -43,7 +45,7 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom)) if analytic.size else 0.0
 
 
-def numeric_gradient(f: Callable[[], float], x: np.ndarray, eps: float = EPS) -> np.ndarray:
+def numeric_gradient(f: Callable[[], float], x: np.ndarray) -> np.ndarray:
     """Central differences of a scalar function with respect to every entry of x.
 
     ``f`` must read the current contents of ``x``; entries are perturbed in
@@ -54,17 +56,16 @@ def numeric_gradient(f: Callable[[], float], x: np.ndarray, eps: float = EPS) ->
     gflat = g.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + eps
+        flat[i] = orig + EPS
         fp = f()
-        flat[i] = orig - eps
+        flat[i] = orig - EPS
         fm = f()
         flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * eps)
+        gflat[i] = (fp - fm) / (2.0 * EPS)
     return g
 
 
-def check_fn(fn: Callable[..., Tensor], arrays: Sequence[np.ndarray], rng: np.random.Generator,
-             eps: float = EPS) -> float:
+def check_fn(fn: Callable[..., Tensor], arrays: Sequence[np.ndarray], rng: np.random.Generator) -> float:
     """Max relative error over all inputs of ``fn`` (a Tensor -> Tensor op)."""
     tensors = [parameter(a) for a in arrays]
     out = fn(*tensors)
@@ -78,7 +79,7 @@ def check_fn(fn: Callable[..., Tensor], arrays: Sequence[np.ndarray], rng: np.ra
 
     worst = 0.0
     for a, ag in zip(arrays, analytic):
-        ng = numeric_gradient(scalar, a, eps)
+        ng = numeric_gradient(scalar, a)
         worst = max(worst, relative_error(ag, ng))
     return worst
 
@@ -88,16 +89,16 @@ def check_fn(fn: Callable[..., Tensor], arrays: Sequence[np.ndarray], rng: np.ra
 # ---------------------------------------------------------------------------
 
 
-def away_from_kinks(rng: np.random.Generator, shape, kinks=(0.0,), gap: float = 1e-3) -> np.ndarray:
+def away_from_kinks(rng: np.random.Generator, shape, kinks=(0.0,)) -> np.ndarray:
     x = rng.standard_normal(shape)
     for k in kinks:
-        near = np.abs(x - k) < gap
-        x[near] = k + np.sign(x[near] - k + 1e-12) * (gap * 10)
+        near = np.abs(x - k) < GAP
+        x[near] = k + np.sign(x[near] - k + 1e-12) * (GAP * 10)
     return x
 
 
-def well_separated_windows(rng: np.random.Generator, shape, gap: float = 1e-3) -> np.ndarray:
-    """Random input whose every 3x3 pool window has a unique max with margin > gap."""
+def well_separated_windows(rng: np.random.Generator, shape) -> np.ndarray:
+    """Random input whose every 3x3 pool window has a unique max with margin > GAP."""
     for _ in range(64):
         x = rng.standard_normal(shape)
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), constant_values=-np.inf)
@@ -108,7 +109,7 @@ def well_separated_windows(rng: np.random.Generator, shape, gap: float = 1e-3) -
         ).reshape(b, c, h, w, 9)
         srt = np.sort(win, axis=-1)
         margin = srt[..., -1] - srt[..., -2]
-        if np.all((margin > gap) | ~np.isfinite(srt[..., -2])):
+        if np.all((margin > GAP) | ~np.isfinite(srt[..., -2])):
             return x
     raise RuntimeError("could not sample tie-free pooling input")
 
@@ -290,7 +291,7 @@ def _block_checks(rng) -> list[tuple[str, Callable[[], float]]]:
     ]
 
 
-def model_end_to_end(seed: int = 0, n_params: int = 24) -> float:
+def model_end_to_end(seed: int = 0) -> float:
     """Finite-difference check of a tiny model through the loss, on a parameter subset."""
     rng = np.random.default_rng(seed)
     graph = models.apply_ulsam(models.build_mv1_tiny(4, width=4, dtype=np.float64, seed=seed), ["5:1"], g=2)
@@ -316,7 +317,7 @@ def model_end_to_end(seed: int = 0, n_params: int = 24) -> float:
         flat_idx = int(rng.integers(0, t.size))
         picks.append((name, flat_idx))
     rng.shuffle(picks)
-    picks = picks[:n_params]
+    picks = picks[:E2E_PARAMS]
 
     worst = 0.0
     for name, idx in picks:

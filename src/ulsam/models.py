@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -81,17 +81,36 @@ class ModelGraph:
     layers: list[LayerSpec]
     params: dict[str, Tensor]
     buffers: dict[str, np.ndarray]
-    metadata: dict
+    seed: int
     dtype: type = np.float64
     min_input: int = 32
 
+    @property
+    def ulsam_positions(self) -> list[str]:
+        """Position directives of the attention blocks, in layer order ("8:1", "9:1", "11")."""
+        return [s.index for s in self.layers if s.kind == KIND_ULSAM]
+
+    @property
+    def ulsam_g(self) -> Optional[int]:
+        """Group count of the attention blocks; None when the graph has none."""
+        return next((s.groups for s in self.layers if s.kind == KIND_ULSAM), None)
+
     def numbered(self) -> dict[int, int]:
         """Map of original integer layer numbers to positions in the layer list."""
-        out = {}
-        for pos, spec in enumerate(self.layers):
-            if re.fullmatch(r"\d+", spec.index):
-                out[int(spec.index)] = pos
-        return out
+        return {int(spec.index): pos for pos, spec in enumerate(self.layers) if spec.index.isdigit()}
+
+    def _add_bn(self, name: str, channels: int) -> None:
+        dt = self.dtype
+        self.params[f"{name}.g"] = parameter(np.ones(channels, dtype=dt), name=f"{name}.g")
+        self.params[f"{name}.b"] = parameter(np.zeros(channels, dtype=dt), name=f"{name}.b")
+        self.buffers[f"{name}.mean"] = np.zeros(channels, dtype=dt)
+        self.buffers[f"{name}.var"] = np.ones(channels, dtype=dt)
+
+    def layer_params(self, spec: LayerSpec, include_bn: bool = False) -> list[Tensor]:
+        """The layer's weight and bias tensors; its batch-norm affine pairs only if ``include_bn``."""
+        p = _prefix(spec) + "."
+        return [t for name, t in self.params.items()
+                if name.startswith(p) and (include_bn or not name[len(p):].startswith("bn"))]
 
     def zero_grads(self) -> None:
         for t in self.params.values():
@@ -187,8 +206,7 @@ def build_mv1_tiny(num_classes: int = 4, width: int = 8, dtype=np.float64, seed:
 def _finish_graph(arch, alpha, num_classes, layers, dtype, seed, min_input) -> ModelGraph:
     graph = ModelGraph(
         arch=arch, num_classes=num_classes, alpha=alpha, layers=layers,
-        params={}, buffers={}, metadata={"seed": seed, "ulsam_positions": [], "ulsam_g": None},
-        dtype=dtype, min_input=min_input,
+        params={}, buffers={}, seed=seed, dtype=dtype, min_input=min_input,
     )
     rng = np.random.default_rng(seed)
     for spec in layers:
@@ -205,14 +223,6 @@ def _he(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
     return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
 
 
-def _add_bn(graph: ModelGraph, name: str, channels: int, rng) -> None:
-    dt = graph.dtype
-    graph.params[f"{name}.g"] = parameter(np.ones(channels, dtype=dt), name=f"{name}.g")
-    graph.params[f"{name}.b"] = parameter(np.zeros(channels, dtype=dt), name=f"{name}.b")
-    graph.buffers[f"{name}.mean"] = np.zeros(channels, dtype=dt)
-    graph.buffers[f"{name}.var"] = np.ones(channels, dtype=dt)
-
-
 def _init_layer(graph: ModelGraph, spec: LayerSpec, rng: np.random.Generator) -> None:
     p, dt = _prefix(spec), graph.dtype
     add = graph.params.__setitem__
@@ -222,23 +232,23 @@ def _init_layer(graph: ModelGraph, spec: LayerSpec, rng: np.random.Generator) ->
         if spec.bias:
             add(f"{p}.b", parameter(np.zeros(n, dtype=dt), name=f"{p}.b"))
         if spec.norm_act:
-            _add_bn(graph, f"{p}.bn", n, rng)
+            graph._add_bn(f"{p}.bn", n)
     elif spec.kind == KIND_DWS:
         m, n = spec.in_channels, spec.out_channels
         add(f"{p}.dw.w", parameter(_he(rng, (m, 3, 3), 9, dt), name=f"{p}.dw.w"))
-        _add_bn(graph, f"{p}.bn1", m, rng)
+        graph._add_bn(f"{p}.bn1", m)
         add(f"{p}.pw.w", parameter(_he(rng, (n, m, 1, 1), m, dt), name=f"{p}.pw.w"))
-        _add_bn(graph, f"{p}.bn2", n, rng)
+        graph._add_bn(f"{p}.bn2", n)
     elif spec.kind == KIND_BOTTLENECK:
         m, n, t = spec.in_channels, spec.out_channels, spec.expansion
         hidden = m * t
         if t != 1:
             add(f"{p}.exp.w", parameter(_he(rng, (hidden, m, 1, 1), m, dt), name=f"{p}.exp.w"))
-            _add_bn(graph, f"{p}.bn1", hidden, rng)
+            graph._add_bn(f"{p}.bn1", hidden)
         add(f"{p}.dw.w", parameter(_he(rng, (hidden, 3, 3), 9, dt), name=f"{p}.dw.w"))
-        _add_bn(graph, f"{p}.bn2", hidden, rng)
+        graph._add_bn(f"{p}.bn2", hidden)
         add(f"{p}.proj.w", parameter(_he(rng, (n, hidden, 1, 1), hidden, dt), name=f"{p}.proj.w"))
-        _add_bn(graph, f"{p}.bn3", n, rng)
+        graph._add_bn(f"{p}.bn3", n)
     elif spec.kind == KIND_ULSAM:
         cfg = attention.UlsamConfig(spec.in_channels, spec.groups)
         weights = attention.init_ulsam_weights(cfg, rng, dt)
@@ -278,26 +288,30 @@ def validate_graph(graph: ModelGraph) -> None:
 def apply_ulsam(graph: ModelGraph, directives: Sequence, g: int) -> ModelGraph:
     """A new graph with attention blocks placed per the directives.
 
-    Substitution targets must be shape-preserving (stride 1, in == out); a
-    substituted V2 bottleneck is removed entirely and replaced by one block
-    over its input channels. Retained layers keep (copies of) their weights;
-    the original layer numbering survives in the new indices, so position
-    strings stay reportable.
+    All blocks are placed in one call: a graph that already has attention
+    blocks is rejected. Substitution targets must be shape-preserving
+    (stride 1, in == out); a substituted V2 bottleneck is removed entirely and
+    replaced by one block over its input channels. Retained layers keep
+    (copies of) their weights; the original layer numbering survives in the
+    new indices, so position strings stay reportable.
     """
+    if graph.ulsam_positions:
+        raise DirectiveError(f"graph already has attention blocks at {', '.join(graph.ulsam_positions)}; "
+                             "place all blocks in one apply_ulsam call")
+    if g < 1:
+        raise DirectiveError(f"group count g must be >= 1, got {g}")
     parsed = [d if isinstance(d, PositionDirective) else parse_position(str(d)) for d in directives]
     numbered = graph.numbered()
-    substitutes: dict[int, PositionDirective] = {}
-    inserts: dict[int, PositionDirective] = {}
+    substitutes: set[int] = set()  # target layer numbers
+    inserts: set[int] = set()
     for d in parsed:
         if d.target not in numbered:
             raise DirectiveError(f"position directive {d} targets layer {d.target}, which does not exist")
         spec = graph.layers[numbered[d.target]]
-        if spec.kind == KIND_ULSAM:
-            raise DirectiveError(f"position directive {d} targets an existing attention block")
         bucket = inserts if d.insert else substitutes
         if d.target in bucket:
             raise DirectiveError(f"duplicate position directive {d}")
-        bucket[d.target] = d
+        bucket.add(d.target)
         channels = spec.out_channels
         if not d.insert:
             if spec.kind not in (KIND_DWS, KIND_BOTTLENECK):
@@ -312,41 +326,25 @@ def apply_ulsam(graph: ModelGraph, directives: Sequence, g: int) -> ModelGraph:
             raise DirectiveError(f"directive {d}: {g} groups do not divide {channels} channels")
 
     new_layers: list[LayerSpec] = []
-    ulsam_specs: list[LayerSpec] = []
     for spec in graph.layers:
-        num = int(spec.index) if re.fullmatch(r"\d+", spec.index) else None
-        if num is not None and num in substitutes:
-            sub = LayerSpec(KIND_ULSAM, spec.index, spec.in_channels, spec.in_channels, groups=g)
-            new_layers.append(sub)
-            ulsam_specs.append(sub)
-        else:
-            new_layers.append(spec)
-        if num is not None and num in inserts:
-            ins = LayerSpec(KIND_ULSAM, f"{num}:1", spec.out_channels, spec.out_channels, groups=g)
-            new_layers.append(ins)
-            ulsam_specs.append(ins)
+        num = int(spec.index) if spec.index.isdigit() else None
+        if num in substitutes:
+            spec = LayerSpec(KIND_ULSAM, spec.index, spec.in_channels, spec.in_channels, groups=g)
+        new_layers.append(spec)
+        if num in inserts:
+            new_layers.append(LayerSpec(KIND_ULSAM, f"{num}:1", spec.out_channels, spec.out_channels, groups=g))
 
-    positions = sorted(
-        (str(d) for d in parsed),
-        key=lambda s: (int(s.split(":")[0]), ":" in s),
-    )
+    dropped = tuple(f"L{num}." for num in substitutes)  # weights of the substituted layers
     new_graph = ModelGraph(
-        arch=graph.arch, num_classes=graph.num_classes, alpha=graph.alpha,
-        layers=new_layers, params={}, buffers={},
-        metadata=dict(graph.metadata, ulsam_positions=positions, ulsam_g=g),
-        dtype=graph.dtype, min_input=graph.min_input,
+        arch=graph.arch, num_classes=graph.num_classes, alpha=graph.alpha, layers=new_layers,
+        params={n: parameter(t.data.copy(), name=n) for n, t in graph.params.items() if not n.startswith(dropped)},
+        buffers={n: b.copy() for n, b in graph.buffers.items() if not n.startswith(dropped)},
+        seed=graph.seed, dtype=graph.dtype, min_input=graph.min_input,
     )
-    for name, t in graph.params.items():
-        if any(name.startswith(f"L{s.index}.") for s in new_layers if s.kind == KIND_ULSAM and not s.index.endswith(":1")):
-            continue  # weights of a substituted layer are dropped
-        new_graph.params[name] = parameter(t.data.copy(), name=name)
-    for name, b in graph.buffers.items():
-        if any(name.startswith(f"L{s.index}.") for s in new_layers if s.kind == KIND_ULSAM and not s.index.endswith(":1")):
-            continue
-        new_graph.buffers[name] = b.copy()
-    for spec in ulsam_specs:
-        rng = np.random.default_rng((graph.metadata["seed"], 0xA77E, int(spec.index.split(":")[0]), int(spec.index.endswith(":1"))))
-        _init_layer(new_graph, spec, rng)
+    for spec in new_layers:
+        if spec.kind == KIND_ULSAM:
+            rng = np.random.default_rng((graph.seed, 0xA77E, int(spec.index.split(":")[0]), int(spec.index.endswith(":1"))))
+            _init_layer(new_graph, spec, rng)
     validate_graph(new_graph)
     return new_graph
 

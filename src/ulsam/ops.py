@@ -27,6 +27,9 @@ CONV_STANDARD = "standard"
 CONV_DEPTHWISE = "depthwise"
 CONV_POINTWISE = "pointwise"
 
+BN_MOMENTUM = 0.9
+BN_EPS = 1e-5
+
 
 def _require_rank4(x: Tensor, who: str) -> None:
     if x.ndim != 4:
@@ -470,20 +473,12 @@ def sigmoid(x: Tensor) -> Tensor:
     return _elementwise(x, s, s * (1.0 - s), "sigmoid")
 
 
-def batch_norm(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    running_mean: Array,
-    running_var: Array,
-    train: bool,
-    momentum: float = 0.9,
-    eps: float = 1e-5,
-) -> Tensor:
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Array, running_var: Array,
+               train: bool) -> Tensor:
     """Per-channel batch normalization over (batch, height, width).
 
     Training mode uses biased batch statistics and folds them into the running
-    buffers as ``running = momentum * running + (1 - momentum) * batch``;
+    buffers as ``running = BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch``;
     inference mode normalizes with the running buffers only.
     """
     _require_rank4(x, "batch_norm")
@@ -493,15 +488,15 @@ def batch_norm(
     if train:
         mean = x.data.mean(axis=(0, 2, 3))
         var = x.data.var(axis=(0, 2, 3))
-        running_mean *= momentum
-        running_mean += (1.0 - momentum) * mean
-        running_var *= momentum
-        running_var += (1.0 - momentum) * var
+        running_mean *= BN_MOMENTUM
+        running_mean += (1.0 - BN_MOMENTUM) * mean
+        running_var *= BN_MOMENTUM
+        running_var += (1.0 - BN_MOMENTUM) * var
     else:
         mean = running_mean.astype(x.dtype)
         var = running_var.astype(x.dtype)
 
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     x_hat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
     out = gamma.data[None, :, None, None] * x_hat + beta.data[None, :, None, None]
 

@@ -14,6 +14,7 @@ are both stored, so a reloaded model evaluates identically.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,6 +28,7 @@ from .tensor import Tensor, op_result
 
 CHECKPOINT_MAGIC = b"ULSM"
 CHECKPOINT_VERSION = 1
+EVAL_BATCH = 256  # images per inference forward in evaluate
 
 CIFAR10_MEAN = (0.4914, 0.4822, 0.4465)
 CIFAR10_STD = (0.2470, 0.2435, 0.2616)
@@ -117,9 +119,13 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     if logits.ndim != 2:
         raise ConfigurationError(f"cross_entropy: logits must be (batch, classes), got {logits.shape}")
     b, c = logits.shape
+    if b == 0:
+        raise ConfigurationError("cross_entropy: empty batch (0 rows of logits)")
     labels = np.asarray(labels)
     if labels.shape != (b,):
         raise ConfigurationError(f"cross_entropy: labels shape {labels.shape}, expected ({b},)")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ConfigurationError(f"cross_entropy: labels must be integer class indices, got dtype {labels.dtype}")
     if labels.min() < 0 or labels.max() >= c:
         raise ConfigurationError(f"cross_entropy: label out of range [0, {c})")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
@@ -222,7 +228,11 @@ def synthetic_dataset(classes: int, samples: int, image_size: int = 8, seed: int
 
 
 def save_checkpoint(path: Union[str, Path], graph: models.ModelGraph) -> None:
-    """Write parameters and batch-norm running statistics as float32 records."""
+    """Write parameters and batch-norm running statistics as float32 records.
+
+    The bytes go to a temporary file that then replaces ``path`` in one
+    rename, so a write that fails part-way leaves the old checkpoint intact.
+    """
     entries: list[tuple[str, np.ndarray]] = [(n, t.data) for n, t in sorted(graph.params.items())]
     entries += [(n, b) for n, b in sorted(graph.buffers.items())]
     out = bytearray()
@@ -235,7 +245,12 @@ def save_checkpoint(path: Union[str, Path], graph: models.ModelGraph) -> None:
         out += struct.pack("<I", arr.ndim)
         out += struct.pack(f"<{arr.ndim}I", *arr.shape)
         out += np.ascontiguousarray(arr, dtype="<f4").tobytes()
-    Path(path).write_bytes(bytes(out))
+    tmp = Path(f"{path}.tmp")
+    try:
+        tmp.write_bytes(out)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # only left behind by a failed write
 
 
 def load_checkpoint(path: Union[str, Path], graph: models.ModelGraph) -> None:
@@ -291,15 +306,14 @@ def load_checkpoint(path: Union[str, Path], graph: models.ModelGraph) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _batch_logits(graph: models.ModelGraph, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
+def _batch_logits(graph: models.ModelGraph, images: np.ndarray) -> np.ndarray:
     outs = []
-    for lo in range(0, images.shape[0], batch_size):
-        outs.append(models.forward(graph, images[lo : lo + batch_size], train=False).data)
+    for lo in range(0, images.shape[0], EVAL_BATCH):
+        outs.append(models.forward(graph, images[lo : lo + EVAL_BATCH], train=False).data)
     return np.concatenate(outs)
 
 
-def evaluate(graph: models.ModelGraph, dataset: Dataset, ks: Optional[Sequence[int]] = None,
-             batch_size: int = 256) -> dict[str, float]:
+def evaluate(graph: models.ModelGraph, dataset: Dataset, ks: Optional[Sequence[int]] = None) -> dict[str, float]:
     """Top-k accuracies in inference mode. Default ks are (1, 5) clamped to the class count;
     explicitly requested ks must not exceed it."""
     c = dataset.num_classes
@@ -312,7 +326,7 @@ def evaluate(graph: models.ModelGraph, dataset: Dataset, ks: Optional[Sequence[i
             if k > c:
                 raise ConfigurationError(f"requested top-{k} with only {c} classes")
         pairs = [(f"top{k}", k) for k in ks]
-    logits = _batch_logits(graph, dataset.images, batch_size)
+    logits = _batch_logits(graph, dataset.images)
     return {name: topk_accuracy(logits, dataset.labels, k) for name, k in pairs}
 
 

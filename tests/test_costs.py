@@ -181,6 +181,33 @@ def test_totals_equal_sum_of_rows_exactly(mv1, mv2):
         assert sum(r.macs_by_kind.values()) == r.total_macs
 
 
+def _closed_form_params(spec, bn):
+    """One layer's parameter count from its shape alone, independent of the built tensors."""
+    m, n = spec.in_channels, spec.out_channels
+    if spec.kind == "conv":
+        return spec.kernel**2 * m * n + n * spec.bias + 2 * n * (bn and spec.norm_act)
+    if spec.kind == "dws":
+        return 9 * m + m * n + bn * (2 * m + 2 * n)
+    if spec.kind == "bottleneck":
+        hidden = m * spec.expansion
+        expand = m * hidden + bn * 2 * hidden if spec.expansion != 1 else 0
+        return expand + 9 * hidden + hidden * n + bn * (2 * hidden + 2 * n)
+    if spec.kind == "ulsam":
+        return 2 * m
+    if spec.kind == "fc":
+        return m * n + n
+    return 0
+
+
+@pytest.mark.parametrize("bn", [False, True])
+def test_row_params_match_closed_forms(mv1, mv2, bn):
+    graphs = [mv1, mv2, models.apply_ulsam(mv1, ["8:1", "11"], 1), models.apply_ulsam(mv1, ["9:1"], 512),
+              models.apply_ulsam(mv2, ["14", "17:1"], 32)]
+    for g in graphs:
+        rows = analyze_model(g, include_bn_params=bn).rows
+        assert [r.params for r in rows] == [_closed_form_params(s, bn) for s in g.layers]
+
+
 def test_shares_sum_to_100(mv1, mv2):
     for g in (mv1, mv2):
         assert sum(analyze_model(g).shares.values()) == pytest.approx(100.0, abs=0.01)

@@ -134,9 +134,30 @@ def test_apply_then_remove_round_trips_cost_report():
 
 def test_positions_metadata_uses_table_grammar():
     g = apply_ulsam(build_mv1(1.0, 10, dtype=np.float32), ["11", "8:1", "9:1"], g=4)
-    assert g.metadata["ulsam_positions"] == ["8:1", "9:1", "11"]
-    assert g.metadata["ulsam_g"] == 4
+    assert g.ulsam_positions == ["8:1", "9:1", "11"]
+    assert g.ulsam_g == 4
     assert [s.index for s in g.layers if s.kind == "ulsam"] == ["8:1", "9:1", "11"]
+
+
+def test_no_directives_place_no_blocks():
+    g = apply_ulsam(build_mv1_tiny(4), [], 4)
+    assert g.ulsam_positions == []
+    assert g.ulsam_g is None
+
+
+@pytest.mark.parametrize("first,second", [(["8:1"], ["9:1"]), (["11"], ["8:1"])])
+def test_second_apply_ulsam_rejected(first, second):
+    # every block is placed in one call; a second call would lose track of the first
+    g = apply_ulsam(build_mv1(1.0, 10, dtype=np.float32), first, 4)
+    with pytest.raises(DirectiveError, match="already has attention blocks"):
+        apply_ulsam(g, second, 4)
+
+
+@pytest.mark.parametrize("groups", [0, -2])
+def test_group_count_below_one_rejected(groups):
+    base = build_mv1(1.0, 10, dtype=np.float32)
+    with pytest.raises(DirectiveError, match=f"got {groups}"):
+        apply_ulsam(base, ["11"], g=groups)
 
 
 def test_ulsam_layers_never_change_spatial_extents():

@@ -1,6 +1,7 @@
 """Optimizer, schedules, loss/metrics, data ingestion, checkpoints, training loop."""
 
 import json
+import signal
 import struct
 
 import numpy as np
@@ -123,6 +124,16 @@ def test_cross_entropy_gradient_matches_finite_differences():
     labels = np.array([1, 0, 3])
     err = gradcheck.check_fn(lambda z: cross_entropy(z, labels), [rng.normal(size=(3, 4))], rng)
     assert err < 1e-6
+
+
+def test_cross_entropy_rejects_non_integer_labels():
+    with pytest.raises(ConfigurationError, match="integer"):
+        cross_entropy(Tensor(np.zeros((2, 3))), np.array([0.0, 1.0]))
+
+
+def test_cross_entropy_rejects_empty_batch():
+    with pytest.raises(ConfigurationError, match="empty batch"):
+        cross_entropy(Tensor(np.zeros((0, 3))), np.zeros(0, dtype=np.int64))
 
 
 def test_cross_entropy_tape_only_when_logits_need_it():
@@ -270,6 +281,30 @@ def test_checkpoint_unknown_tensor_rejected(tmp_path):
     other = models.build_mv1_tiny(4, width=8, dtype=np.float32)  # different shapes/names
     with pytest.raises(CheckpointError):
         load_checkpoint(path, other)
+
+
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path):
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, _tiny_graph(1))
+    old = path.read_bytes()
+    newer = _tiny_graph(2)
+    # a file-size limit of half the checkpoint cuts the next write off there (EFBIG)
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (len(old) // 2, hard))
+    try:
+        with pytest.raises(OSError):
+            save_checkpoint(path, newer)
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        signal.signal(signal.SIGXFSZ, handler)
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]  # no temporary file left behind
+    g = _tiny_graph(3)
+    load_checkpoint(path, g)
+    for name, p in _tiny_graph(1).params.items():
+        np.testing.assert_array_equal(g.params[name].data, p.data)
 
 
 def test_rejected_checkpoint_leaves_graph_unchanged(tmp_path):
