@@ -1,4 +1,4 @@
-"""Subspace attention (ULSAM) and a squeeze-excitation comparison block.
+"""Subspace attention (ULSAM).
 
 The ULSAM block splits an m-channel feature map into g contiguous groups of
 width G = m / g, infers one spatial attention map per group as
@@ -14,7 +14,7 @@ besides the softmax.
 Every stage is per channel or per group, so the block runs as one pass over
 the whole tensor for every g: the depthwise scalars and the pool act on all m
 channels at once, ``ops.grouped_pointwise`` gives the g logit maps, the
-softmax runs on the g maps folded into the batch extent, and
+softmax normalises each of them over its h*w positions, and
 ``ops.broadcast_mul_add`` scales group k by map k.
 
 ``g = m`` degenerates to a per-channel non-linear gate; ``case3_attention``
@@ -89,12 +89,8 @@ def init_ulsam_weights(cfg: UlsamConfig, rng: np.random.Generator, dtype=np.floa
 def ulsam_attention_maps(f: Tensor, cfg: UlsamConfig, weights: UlsamWeights) -> Tensor:
     """All g attention maps stacked on the channel extent: shape (b, g, h, w)."""
     _check_input(f, cfg, weights)
-    b, m, h, w = f.shape
-    pooled = ops.maxpool_3x3_p1(ops.depthwise_conv(f, ops.reshape(weights.dw, (m, 1, 1))))
-    logits = ops.grouped_pointwise(pooled, weights.pw, cfg.groups)
-    # one distribution per (item, group): fold the groups into the batch extent
-    maps = ops.spatial_softmax(ops.reshape(logits, (b * cfg.groups, 1, h, w)))
-    return ops.reshape(maps, (b, cfg.groups, h, w))
+    pooled = ops.maxpool_3x3_p1(ops.depthwise_conv(f, ops.reshape(weights.dw, (cfg.channels, 1, 1))))
+    return ops.spatial_softmax(ops.grouped_pointwise(pooled, weights.pw, cfg.groups))
 
 
 def ulsam_forward(f: Tensor, cfg: UlsamConfig, weights: UlsamWeights) -> Tensor:
@@ -133,64 +129,3 @@ def case3_attention(f: Tensor, weights: UlsamWeights) -> Tensor:
     # fold channels into the batch extent so the per-channel softmax reuses the kernel
     s = ops.spatial_softmax(Tensor(logits.reshape(b * m, 1, h, w)))
     return Tensor(s.data.reshape(b, m, h, w))
-
-
-# ---------------------------------------------------------------------------
-# squeeze-excitation baseline
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SeConfig:
-    """Channel count and MLP reduction ratio; r must divide m."""
-
-    channels: int
-    reduction: int = 16
-
-    def __post_init__(self):
-        if self.channels < 1 or self.reduction < 1:
-            raise ConfigurationError("se: channels and reduction must be positive")
-        if self.channels % self.reduction != 0:
-            raise ConfigurationError(
-                f"se: reduction {self.reduction} does not divide channels {self.channels}"
-            )
-
-    @property
-    def hidden(self) -> int:
-        return self.channels // self.reduction
-
-
-@dataclass
-class SeWeights:
-    w1: Tensor  # (m, m/r)
-    w2: Tensor  # (m/r, m)
-
-    @property
-    def param_count(self) -> int:
-        return int(self.w1.size + self.w2.size)
-
-
-def init_se_weights(cfg: SeConfig, rng: np.random.Generator, dtype=np.float64) -> SeWeights:
-    s1 = float(np.sqrt(2.0 / cfg.channels))
-    s2 = float(np.sqrt(2.0 / cfg.hidden))
-    w1 = parameter(rng.normal(0.0, s1, size=(cfg.channels, cfg.hidden)).astype(dtype), name="se.w1")
-    w2 = parameter(rng.normal(0.0, s2, size=(cfg.hidden, cfg.channels)).astype(dtype), name="se.w2")
-    return SeWeights(w1, w2)
-
-
-def se_forward(f: Tensor, cfg: SeConfig, weights: SeWeights) -> Tensor:
-    """Scale each channel by sigmoid(W2 . relu(W1 . gap(F))); no biases."""
-    if f.ndim != 4:
-        raise ConfigurationError(f"se_forward: expected rank-4 input, got shape {f.shape}")
-    b, m, _, _ = f.shape
-    if m != cfg.channels:
-        raise ConfigurationError(f"se_forward: input has {m} channels but config says {cfg.channels}")
-    if weights.w1.shape != (cfg.channels, cfg.hidden) or weights.w2.shape != (cfg.hidden, cfg.channels):
-        raise ConfigurationError(
-            f"se_forward: weight shapes {weights.w1.shape}/{weights.w2.shape} do not match "
-            f"({cfg.channels}, {cfg.hidden})/({cfg.hidden}, {cfg.channels})"
-        )
-    squeezed = ops.global_avg_pool(f)
-    hidden = ops.relu(ops.fully_connected(squeezed, weights.w1))
-    gates = ops.sigmoid(ops.fully_connected(hidden, weights.w2))
-    return ops.scale_channels(f, ops.reshape(gates, (b, m, 1, 1)))

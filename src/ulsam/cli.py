@@ -59,41 +59,58 @@ def load_config(path: str | None) -> dict:
         if key not in _KNOWN_TOP:
             raise ConfigurationError(f'field "{key}": unknown config field')
     for section, known in (("ulsam", _KNOWN_ULSAM), ("train", _KNOWN_TRAIN), ("dataset", _KNOWN_DATASET)):
-        for key in cfg.get(section, {}) or {}:
+        body = cfg.get(section, {})
+        if not isinstance(body, dict):
+            raise ConfigurationError(f'field "{section}": must be an object, got {json.dumps(body)}')
+        for key in body:
             if key not in known:
                 raise ConfigurationError(f'field "{section}.{key}": unknown config field')
     return cfg
 
 
+# the JSON types a config value may have, by the words its error message uses
+_JSON_TYPES = {
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "true or false": lambda v: isinstance(v, bool),
+    "a list of strings": lambda v: isinstance(v, list) and all(map(_JSON_TYPES["a string"], v)),
+    "a list of numbers": lambda v: isinstance(v, list) and all(map(_JSON_TYPES["a number"], v)),
+}
+
+
+def _read(cfg: dict, field: str, kind: str, default):
+    """The config value at ``field`` ("key" or "section.key"), which must have
+    the JSON type ``kind``; ``default`` when the field is absent."""
+    *section, key = field.split(".")
+    body = cfg.get(section[0], {}) if section else cfg
+    if key not in body:
+        return default
+    if not _JSON_TYPES[kind](body[key]):
+        raise ConfigurationError(f'field "{field}": must be {kind}, got {json.dumps(body[key])}')
+    return float(body[key]) if kind == "a number" else body[key]
+
+
 def _model_settings(cfg: dict, args) -> dict:
-    arch = cfg.get("arch", "mv1")
-    alpha = float(cfg.get("alpha", 1.0))
-    num_classes = int(cfg.get("num_classes", 1000))
-    ul = cfg.get("ulsam") or {}
-    g = int(ul.get("g", 4))
-    positions = list(ul.get("positions", []))
-    seed = int((cfg.get("train") or {}).get("seed", 0))
+    settings = {
+        "arch": _read(cfg, "arch", "a string", "mv1"),
+        "alpha": _read(cfg, "alpha", "a number", 1.0),
+        "num_classes": _read(cfg, "num_classes", "an integer", 1000),
+        "g": _read(cfg, "ulsam.g", "an integer", 4),
+        "positions": _read(cfg, "ulsam.positions", "a list of strings", []),
+        "seed": _read(cfg, "train.seed", "an integer", 0),
+    }
     # command line wins
-    if getattr(args, "alpha", None) is not None:
-        alpha = args.alpha
-    if getattr(args, "num_classes", None) is not None:
-        num_classes = args.num_classes
-    if getattr(args, "g", None) is not None:
-        g = args.g
-    if getattr(args, "positions", None) is not None:
-        positions = [p for p in args.positions.split(",") if p]
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
-    if not isinstance(arch, str):
-        raise ConfigurationError('field "arch": must be a string')
-    if not (0.0 < alpha <= 1.0):
-        raise ConfigurationError(f'field "alpha": must be in (0, 1], got {alpha}')
-    if num_classes < 1:
-        raise ConfigurationError(f'field "num_classes": must be >= 1, got {num_classes}')
-    if g < 1:
-        raise ConfigurationError(f'field "ulsam.g": must be >= 1, got {g}')
-    return {"arch": arch, "alpha": alpha, "num_classes": num_classes, "g": g,
-            "positions": positions, "seed": seed}
+    for name in ("alpha", "num_classes", "g", "positions", "seed"):
+        if getattr(args, name) is not None:
+            settings[name] = getattr(args, name)
+    if not (0.0 < settings["alpha"] <= 1.0):
+        raise ConfigurationError(f'field "alpha": must be in (0, 1], got {settings["alpha"]}')
+    if settings["num_classes"] < 1:
+        raise ConfigurationError(f'field "num_classes": must be >= 1, got {settings["num_classes"]}')
+    if settings["g"] < 1:
+        raise ConfigurationError(f'field "ulsam.g": must be >= 1, got {settings["g"]}')
+    return settings
 
 
 def _build_graph(settings: dict, dtype=np.float32) -> models.ModelGraph:
@@ -162,21 +179,20 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-def _dataset_from(cfg: dict, seed_override=None) -> training.Dataset:
-    ds = cfg.get("dataset")
-    if not ds:
+def _dataset_from(cfg: dict) -> training.Dataset:
+    if not cfg.get("dataset"):
         raise ConfigurationError('field "dataset": missing (nothing to train or evaluate on)')
-    kind = ds.get("kind")
+    kind = _read(cfg, "dataset.kind", "a string", None)
     if kind == "synthetic":
         return training.synthetic_dataset(
-            classes=int(ds.get("classes", 4)),
-            samples=int(ds.get("samples", 256)),
-            image_size=int(ds.get("image_size", 8)),
-            seed=int(ds.get("seed", 0)) if seed_override is None else seed_override,
-            noise=float(ds.get("noise", 0.5)),
+            classes=_read(cfg, "dataset.classes", "an integer", 4),
+            samples=_read(cfg, "dataset.samples", "an integer", 256),
+            image_size=_read(cfg, "dataset.image_size", "an integer", 8),
+            seed=_read(cfg, "dataset.seed", "an integer", 0),
+            noise=_read(cfg, "dataset.noise", "a number", 0.5),
         )
     if kind == "cifar10":
-        paths = ds.get("paths")
+        paths = _read(cfg, "dataset.paths", "a list of strings", None)
         if not paths:
             raise ConfigurationError('field "dataset.paths": required for the cifar10 kind')
         for p in paths:
@@ -184,33 +200,32 @@ def _dataset_from(cfg: dict, seed_override=None) -> training.Dataset:
                 raise ConfigurationError(f"dataset file {p} does not exist")
         return training.load_cifar10_binary(
             paths,
-            mean=ds.get("mean", training.CIFAR10_MEAN),
-            std=ds.get("std", training.CIFAR10_STD),
+            mean=_read(cfg, "dataset.mean", "a list of numbers", training.CIFAR10_MEAN),
+            std=_read(cfg, "dataset.std", "a list of numbers", training.CIFAR10_STD),
         )
     raise ConfigurationError(f'field "dataset.kind": expected "synthetic" or "cifar10", got {kind!r}')
 
 
 def _train_config_from(cfg: dict, args) -> training.TrainConfig:
-    tr = cfg.get("train") or {}
-    sched_name = tr.get("schedule", "step")
+    sched_name = _read(cfg, "train.schedule", "a string", "step")
     if sched_name == "step":
         schedule = training.StepDecay()
     elif sched_name == "exp":
         schedule = training.ExpDecay()
     else:
         raise ConfigurationError(f'field "train.schedule": expected "step" or "exp", got {sched_name!r}')
-    seed = int(tr.get("seed", 0))
-    if getattr(args, "seed", None) is not None:
+    seed = _read(cfg, "train.seed", "an integer", 0)
+    if args.seed is not None:
         seed = args.seed
     return training.TrainConfig(
-        lr=float(tr.get("lr", 0.1)),
+        lr=_read(cfg, "train.lr", "a number", 0.1),
         schedule=schedule,
-        momentum=float(tr.get("momentum", 0.9)),
-        weight_decay=float(tr.get("weight_decay", 4e-5)),
-        batch_size=int(tr.get("batch_size", 128)),
-        epochs=int(tr.get("epochs", 30)),
+        momentum=_read(cfg, "train.momentum", "a number", 0.9),
+        weight_decay=_read(cfg, "train.weight_decay", "a number", 4e-5),
+        batch_size=_read(cfg, "train.batch_size", "an integer", 128),
+        epochs=_read(cfg, "train.epochs", "an integer", 30),
         seed=seed,
-        flip=bool(tr.get("flip", False)),
+        flip=_read(cfg, "train.flip", "true or false", False),
     )
 
 
@@ -281,7 +296,8 @@ def cmd_describe(args) -> int:
 def _common_model_flags(sp) -> None:
     sp.add_argument("--config", default=None, help="JSON config path")
     sp.add_argument("--g", type=int, default=None, help="attention group count override")
-    sp.add_argument("--positions", default=None, help='comma-separated position directives, e.g. "8:1,9:1,11"')
+    sp.add_argument("--positions", default=None, type=lambda text: [p for p in text.split(",") if p],
+                    help='comma-separated position directives, e.g. "8:1,9:1,11"')
     sp.add_argument("--alpha", type=float, default=None, help="width multiplier override (mv1)")
     sp.add_argument("--num-classes", type=int, default=None, help="class-count override")
     sp.add_argument("--seed", type=int, default=None, help="seed override")

@@ -13,6 +13,7 @@ only in training mode.
 
 from __future__ import annotations
 
+import contextlib
 import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import attention, instrument, ops
 from .errors import ConfigurationError, DirectiveError
-from .tensor import Tensor, parameter
+from .tensor import Tensor, no_tape, parameter
 
 KIND_CONV = "conv"
 KIND_DWS = "dws"
@@ -417,12 +418,13 @@ def forward(graph: ModelGraph, x, train: bool = False) -> Tensor:
         raise ConfigurationError(
             f"model input spatial size {x.shape[2]}x{x.shape[3]} is below the minimum {graph.min_input}"
         )
-    out = x
-    for spec in graph.layers:
-        out = _layer_forward(graph, spec, out, train)
-    b = out.shape[0]
-    if out.ndim == 4:
-        out = ops.reshape(out, (b, out.shape[1]))
+    # inference is never differentiated, so it records no tape
+    with contextlib.nullcontext() if train else no_tape():
+        out = x
+        for spec in graph.layers:
+            out = _layer_forward(graph, spec, out, train)
+        if out.ndim == 4:
+            out = ops.reshape(out, out.shape[:2])
     return out
 
 

@@ -257,28 +257,25 @@ def maxpool_3x3_p1(x: Tensor) -> Tensor:
 
 
 def spatial_softmax(x: Tensor) -> Tensor:
-    """Softmax over the h*w positions of a single-channel map, per batch item.
+    """Softmax over the h*w positions of each (item, channel) map.
 
-    Max-subtracted for stability; outputs are in (0,1) and sum to 1 per item.
+    Max-subtracted for stability; outputs are in (0,1) and each map sums to 1.
     """
     _require_rank4(x, "spatial_softmax")
     b, c, h, w = x.shape
-    if c != 1:
-        raise ConfigurationError(f"spatial_softmax: expected exactly 1 channel, got {c}")
-    z = x.data.reshape(b, h * w)
-    z = z - z.max(axis=1, keepdims=True)
+    z = x.data.reshape(b, c, h * w)
+    z = z - z.max(axis=2, keepdims=True)
     e = np.exp(z)
-    s = e / e.sum(axis=1, keepdims=True)
+    s = e / e.sum(axis=2, keepdims=True)
 
-    def _bwd(g: Array, x=x, s=s, shape=(b, h, w)) -> None:
+    def _bwd(g: Array, x=x, s=s) -> None:
         if not needs_tape(x):
             return
-        bb, hh, ww = shape
-        gf = g.reshape(bb, hh * ww)
-        dot = (gf * s).sum(axis=1, keepdims=True)
-        x.accumulate_grad((s * (gf - dot)).reshape(bb, 1, hh, ww))
+        gf = g.reshape(s.shape)
+        dot = (gf * s).sum(axis=2, keepdims=True)
+        x.accumulate_grad((s * (gf - dot)).reshape(x.shape))
 
-    return op_result(s.reshape(b, 1, h, w), (x,), _bwd, "spatial_softmax")
+    return op_result(s.reshape(x.shape), (x,), _bwd, "spatial_softmax")
 
 
 def broadcast_mul_add(f: Tensor, a: Tensor) -> Tensor:
@@ -379,23 +376,6 @@ def reshape(x: Tensor, shape: tuple) -> Tensor:
     return op_result(out.copy(), (x,), _bwd, "reshape")
 
 
-def scale_channels(x: Tensor, s: Tensor) -> Tensor:
-    """Multiply each channel of ``x`` by a per-(batch, channel) scalar ``s`` of shape (b, c, 1, 1)."""
-    _require_rank4(x, "scale_channels")
-    _require_rank4(s, "scale_channels")
-    if s.shape != (x.shape[0], x.shape[1], 1, 1):
-        raise ConfigurationError(f"scale_channels: scale shape {s.shape}, expected {(x.shape[0], x.shape[1], 1, 1)}")
-    out = x.data * s.data
-
-    def _bwd(g: Array, x=x, s=s) -> None:
-        if needs_tape(x):
-            x.accumulate_grad(g * s.data)
-        if needs_tape(s):
-            s.accumulate_grad((g * x.data).sum(axis=(2, 3), keepdims=True))
-
-    return op_result(out, (x, s), _bwd, "scale_channels")
-
-
 # ---------------------------------------------------------------------------
 # auxiliary ops
 # ---------------------------------------------------------------------------
@@ -466,11 +446,6 @@ def relu6(x: Tensor) -> Tensor:
     out = np.minimum(np.maximum(x.data, 0.0), 6.0)
     mask = ((x.data > 0) & (x.data < 6)).astype(x.dtype)
     return _elementwise(x, out, mask, "relu6")
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-x.data))
-    return _elementwise(x, s, s * (1.0 - s), "sigmoid")
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Array, running_var: Array,

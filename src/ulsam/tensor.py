@@ -14,13 +14,16 @@ training throughput.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError
 
 Array = np.ndarray
+
+_recording = True  # False inside ``no_tape()``: op_result then links no output to its inputs
 
 
 class Tensor:
@@ -154,9 +157,20 @@ def needs_tape(*tensors: Tensor) -> bool:
     return any(t.requires_grad or t._parents for t in tensors)
 
 
+@contextmanager
+def no_tape() -> Iterator[None]:
+    """Run ops without recording a tape: every result is a leaf that keeps no inputs alive."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def op_result(data, inputs: tuple, backward: Callable[[Array], None], name: str) -> Tensor:
-    """An op's output: linked to ``inputs`` with ``backward`` attached when any
-    input needs the tape, otherwise a plain leaf that keeps nothing alive."""
-    if needs_tape(*inputs):
+    """An op's output: linked to ``inputs`` with ``backward`` attached while the
+    tape records and any input needs it, otherwise a leaf that keeps nothing alive."""
+    if _recording and needs_tape(*inputs):
         return Tensor(data, parents=inputs, backward=backward, name=name)
     return Tensor(data, name=name)

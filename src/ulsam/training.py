@@ -282,6 +282,8 @@ def load_checkpoint(path: Union[str, Path], graph: models.ModelGraph) -> None:
             pos += 4 * count
         except (struct.error, ValueError) as e:
             raise CheckpointError(f"{path}: corrupt record near byte {pos}: {e}") from None
+        if name in staged:
+            raise CheckpointError(f"{path}: tensor {name!r} is stored twice")
         if name in graph.params:
             expect = graph.params[name].shape
         elif name in graph.buffers:

@@ -1,4 +1,4 @@
-"""Subspace-attention block and squeeze-excitation baseline."""
+"""Subspace-attention block."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,10 @@ from hypothesis import strategies as st
 
 from ulsam import gradcheck, ops
 from ulsam.attention import (
-    SeConfig,
-    SeWeights,
     UlsamConfig,
     UlsamWeights,
     case3_attention,
-    init_se_weights,
     init_ulsam_weights,
-    se_forward,
     ulsam_attention_maps,
     ulsam_forward,
 )
@@ -333,41 +329,6 @@ def test_case3_zero_pointwise_gives_uniform_attention():
 def test_case3_requires_full_grouping():
     with pytest.raises(ConfigurationError, match="g = m"):
         case3_attention(t(np.zeros((1, 4, 2, 2))), rand_weights(2))
-
-
-# ---------------------------------------------------------------------------
-# squeeze-excitation baseline
-# ---------------------------------------------------------------------------
-
-
-def test_se_zero_weights_halves_features():
-    f = np.random.default_rng(16).normal(size=(2, 4, 3, 3))
-    cfg = SeConfig(4, 2)
-    w = SeWeights(parameter(np.zeros((4, 2))), parameter(np.zeros((2, 4))))
-    out = se_forward(t(f), cfg, w)
-    np.testing.assert_allclose(out.data, 0.5 * f, rtol=1e-15)
-
-
-def test_se_param_count_matches_closed_form():
-    cfg = SeConfig(512, 16)
-    w = init_se_weights(cfg, np.random.default_rng(0))
-    assert w.param_count == 32768 == 2 * 512 * 512 // 16
-
-
-def test_se_reduction_must_divide_channels():
-    with pytest.raises(ConfigurationError, match="divide"):
-        SeConfig(6, 4)
-
-
-def test_se_gradients():
-    rng = np.random.default_rng(17)
-    cfg = SeConfig(4, 2)
-    arrays = [rng.normal(size=(2, 4, 3, 3)), rng.normal(size=(4, 2)), rng.normal(size=(2, 4))]
-
-    def fn(x, w1, w2):
-        return se_forward(x, cfg, SeWeights(w1, w2))
-
-    assert gradcheck.check_fn(fn, arrays, rng) < 1e-4
 
 
 # ---------------------------------------------------------------------------

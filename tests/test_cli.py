@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import ulsam
 from ulsam import cli
@@ -127,15 +128,16 @@ def test_gradcheck_corrupted_backward_fails_naming_op(monkeypatch, capsys):
 
     real = ops._elementwise
 
-    def corrupted_sigmoid(x):
-        s = 1.0 / (1.0 + np.exp(-x.data))
-        return real(x, s, s * (1.0 - s) * 1.01, "sigmoid")  # 1% skewed backward
+    def corrupted_relu6(x):
+        mask = ((x.data > 0) & (x.data < 6)).astype(x.dtype)
+        return real(x, np.clip(x.data, 0.0, 6.0), mask * 1.01, "relu6")  # 1% skewed backward
 
-    monkeypatch.setattr("ulsam.ops.sigmoid", corrupted_sigmoid)
+    monkeypatch.setattr("ulsam.ops.relu6", corrupted_relu6)
     code, out, err = run_cli(["gradcheck"], capsys)
     assert code == 1
-    assert "sigmoid" in (out + err)
-    assert "FAIL" in out
+    assert "relu6" in err
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed and all("relu6" in line for line in failed)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +189,25 @@ def test_train_without_dataset_exits_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"arch": "mv1-tiny", "num_classes": 4}))
     code, _, err = run_cli(["train", "--config", str(cfg)], capsys)
     assert code == 2 and "dataset" in err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    (None, "alpha", "abc"),
+    (None, "num_classes", 2.5),
+    (None, "train", 5),
+    ("ulsam", "g", "x"),
+    ("ulsam", "positions", "11"),
+    ("train", "seed", "a"),
+    ("train", "flip", "false"),
+])
+def test_config_value_of_wrong_type_exits_2_naming_field(tmp_path, capsys, section, key, value):
+    payload = json.loads(json.dumps(TRAIN_CFG))
+    (payload[section] if section else payload)[key] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    code, _, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "run")], capsys)
+    field = f"{section}.{key}" if section else key
+    assert code == 2 and f'field "{field}": must be' in err
 
 
 def test_eval_topk_above_class_count_exits_2(tmp_path, capsys):

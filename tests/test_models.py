@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ulsam import costs, models, training
+from ulsam import costs, models, ops, training
 from ulsam.errors import ConfigurationError, DirectiveError
 from ulsam.models import (
     PositionDirective,
@@ -15,6 +15,7 @@ from ulsam.models import (
     spatial_trace,
     validate_graph,
 )
+from ulsam.tensor import parameter
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +241,31 @@ def test_backward_fills_every_parameter_gradient():
     loss.backward()
     for name, p in g.params.items():
         assert p.grad is not None and p.grad.shape == p.data.shape, name
+
+
+def test_inference_output_keeps_no_parents():
+    g = apply_ulsam(build_mv1_tiny(4, width=4, seed=4), ["5:1"], g=2)
+    logits = models.forward(g, np.random.default_rng(1).normal(size=(2, 3, 8, 8)), train=False)
+    assert logits._parents == () and logits._backward is None
+
+
+def test_training_forward_after_inference_fills_every_gradient():
+    g = apply_ulsam(build_mv1_tiny(4, width=4, seed=4), ["5:1"], g=2)
+    x = np.random.default_rng(1).normal(size=(2, 3, 8, 8))
+    models.forward(g, x, train=False)
+    training.cross_entropy(models.forward(g, x, train=True), np.array([0, 3])).backward()
+    for name, p in g.params.items():
+        assert p.grad is not None and p.grad.shape == p.data.shape, name
+
+
+def test_tape_recorded_again_after_inference_forward_raised(monkeypatch):
+    def failing_layer(graph, spec, x, train):
+        raise RuntimeError("layer failed")
+
+    monkeypatch.setattr(models, "_layer_forward", failing_layer)
+    with pytest.raises(RuntimeError, match="layer failed"):
+        models.forward(build_mv1_tiny(4), np.zeros((1, 3, 8, 8)), train=False)
+    assert ops.relu(parameter(np.ones(2)))._parents
 
 
 def test_end_to_end_gradients_match_finite_differences():

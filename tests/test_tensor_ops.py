@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ulsam import gradcheck, instrument, ops
 from ulsam.errors import ConfigurationError
-from ulsam.tensor import Tensor, parameter
+from ulsam.tensor import Tensor, no_tape, parameter
 
 
 def t(arr, **kw):
@@ -240,19 +240,30 @@ def test_spatial_softmax_shift_invariance_random_floats():
     np.testing.assert_allclose(a, b, rtol=1e-13, atol=0)
 
 
-def test_spatial_softmax_rejects_multichannel():
-    with pytest.raises(ConfigurationError, match="channel"):
-        ops.spatial_softmax(t(np.zeros((1, 2, 2, 2))))
+def test_spatial_softmax_maps_match_single_map_calls_bitwise():
+    rng = np.random.default_rng(81)
+    x = rng.normal(scale=3.0, size=(2, 3, 4, 5))
+    upstream = rng.normal(size=x.shape)
+    whole = t(x, requires_grad=True)
+    maps = ops.spatial_softmax(whole)
+    maps.backward(upstream)
+    for i in range(2):
+        for c in range(3):
+            one = t(x[i : i + 1, c : c + 1], requires_grad=True)
+            out = ops.spatial_softmax(one)
+            out.backward(upstream[i : i + 1, c : c + 1])
+            np.testing.assert_array_equal(out.data[0, 0], maps.data[i, c])
+            np.testing.assert_array_equal(one.grad[0, 0], whole.grad[i, c])
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**31 - 1))
-def test_spatial_softmax_sums_to_one(b, h, w, seed):
-    x = np.random.default_rng(seed).normal(scale=7.0, size=(b, 1, h, w))
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**31 - 1))
+def test_spatial_softmax_sums_to_one(b, c, h, w, seed):
+    x = np.random.default_rng(seed).normal(scale=7.0, size=(b, c, h, w))
     out = ops.spatial_softmax(Tensor(x)).data
-    sums = out.reshape(b, -1).sum(axis=1)
+    sums = out.reshape(b * c, -1).sum(axis=1)
     assert np.all(np.abs(sums - 1.0) <= 1e-12)
-    assert out.min() > 0.0 and out.max() < 1.0 or out.size == b  # 1x1 maps are exactly 1
+    assert out.min() > 0.0 and out.max() < 1.0 or h * w == 1  # 1x1 maps are exactly 1
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +369,9 @@ def test_relu6_clamps():
     np.testing.assert_array_equal(out.data.ravel(), [0.0, 3.0, 6.0])
 
 
-def test_relu_and_sigmoid_values():
+def test_relu_values():
     x = np.array([-2.0, 0.5]).reshape(1, 2, 1, 1)
     np.testing.assert_array_equal(ops.relu(t(x)).data.ravel(), [0.0, 0.5])
-    np.testing.assert_allclose(ops.sigmoid(t(x)).data.ravel(), 1 / (1 + np.exp([2.0, -0.5])))
 
 
 def test_fully_connected_gradients():
@@ -415,3 +425,14 @@ def test_tape_recorded_only_when_an_input_needs_it():
         assert out._parents and out._backward is not None
     (w + ops.relu(w)).backward(np.ones(x.shape))
     np.testing.assert_array_equal(w.grad, 1.0 + (x > 0))
+
+
+def test_no_tape_records_nothing_but_leaves_backward_working():
+    x = np.random.default_rng(20).normal(size=(1, 2, 2, 2))
+    w = parameter(x)
+    recorded = ops.relu(w)
+    with no_tape():
+        assert ops.relu(w)._parents == ()
+        recorded.backward(np.ones(x.shape))  # a tape recorded before still runs
+    np.testing.assert_array_equal(w.grad, (x > 0).astype(float))
+    assert ops.relu(w)._parents

@@ -283,6 +283,17 @@ def test_checkpoint_unknown_tensor_rejected(tmp_path):
         load_checkpoint(path, other)
 
 
+def test_checkpoint_with_repeated_tensor_rejected(tmp_path):
+    g = _tiny_graph()
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, g)
+    bias = np.ones(g.params["fc.b"].shape, dtype="<f4")
+    record = struct.pack("<I", 4) + b"fc.b" + struct.pack("<II", 1, bias.size) + bias.tobytes()
+    path.write_bytes(path.read_bytes() + record)
+    with pytest.raises(CheckpointError, match="'fc.b' is stored twice"):
+        load_checkpoint(path, g)
+
+
 def test_failed_checkpoint_write_keeps_previous_file(tmp_path):
     resource = pytest.importorskip("resource")
     path = tmp_path / "ckpt.bin"
