@@ -231,29 +231,50 @@ def maxpool_3x3_p1(x: Tensor) -> Tensor:
 
     Padding is -inf so padded cells never win; ties route the gradient to the
     first maximum in row-major window order.
+
+    The forward is separable: a 3-wide row max over the padded input, then a
+    3-tall column max over that, each two ``np.maximum`` calls on shifted
+    slices. The backward walks the 9 window offsets in row-major order and
+    lets each window claim the first offset whose input equals its maximum;
+    an all -inf window claims its top-left cell, a window with a NaN its
+    first NaN. It then adds the offsets' claimed gradients in reverse order,
+    so each input cell receives its windows' gradients in row-major window
+    order: the sums are bitwise those of a scatter-add over the windows.
     """
     _require_rank4(x, "maxpool_3x3_p1")
     b, c, h, w = x.shape
     if h < 1 or w < 1:
         raise ConfigurationError("maxpool_3x3_p1: spatial extents must be >= 1")
     xp = _pad_spatial(x.data, 1, value=-np.inf)
-    win = _windows(xp, 3, 1, h, w).reshape(b, c, h, w, 9)
-    idx = np.argmax(win, axis=-1)
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    # np.maximum returns its second operand on ties (+0.0 against -0.0), so
+    # earlier cells come second and the first maximum in row-major order wins
+    rows = np.maximum(np.maximum(xp[..., 2:], xp[..., 1 : w + 1]), xp[..., :w])
+    out = np.maximum(np.maximum(rows[:, :, 2:], rows[:, :, 1 : h + 1]), rows[:, :, :h])
 
-    def _bwd(g: Array, x=x, idx=idx, shape=(b, c, h, w)) -> None:
+    def _bwd(g: Array, x=x, xp=xp, out=out) -> None:
         if not needs_tape(x):
             return
-        bb, cc, hh, ww = shape
-        dxp = np.zeros((bb, cc, hh + 2, ww + 2), dtype=g.dtype)
-        bi = np.arange(bb)[:, None, None, None]
-        ci = np.arange(cc)[None, :, None, None]
-        hi = np.arange(hh)[None, None, :, None]
-        wi = np.arange(ww)[None, None, None, :]
-        np.add.at(dxp, (bi, ci, hi + idx // 3, wi + idx % 3), g)
+        hh, ww = out.shape[2:]
+        offsets = [(i, j) for i in range(3) for j in range(3)]
+        free = np.ones(out.shape, dtype=bool)
+        hits = np.empty((9,) + out.shape, dtype=bool)
+        for hit, (i, j) in zip(hits, offsets):
+            np.equal(xp[:, :, i : i + hh, j : j + ww], out, out=hit)
+            hit &= free
+            free ^= hit
+        if free.any():  # a NaN maximum equals nothing, so NaN windows are still free
+            for hit, (i, j) in zip(hits, offsets):
+                nan = np.isnan(xp[:, :, i : i + hh, j : j + ww]) & free
+                hit |= nan
+                free ^= nan
+        dxp = np.zeros(xp.shape, dtype=g.dtype)
+        part = np.empty(out.shape, dtype=g.dtype)
+        for hit, (i, j) in zip(hits[::-1], offsets[::-1]):
+            np.multiply(g, hit, out=part)
+            dxp[:, :, i : i + hh, j : j + ww] += part
         x.accumulate_grad(dxp[:, :, 1 : 1 + hh, 1 : 1 + ww])
 
-    return op_result(np.ascontiguousarray(out), (x,), _bwd, "maxpool_3x3_p1")
+    return op_result(out, (x,), _bwd, "maxpool_3x3_p1")
 
 
 def spatial_softmax(x: Tensor) -> Tensor:

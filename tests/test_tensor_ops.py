@@ -207,6 +207,57 @@ def test_maxpool_gradients_away_from_ties():
     assert gradcheck.check_fn(lambda xt: ops.maxpool_3x3_p1(xt), [x], rng) < 1e-6
 
 
+def reference_maxpool(x, g):
+    """Window-copy max pool: argmax over a 9-wide strided window, scatter-add backward.
+
+    Returns the forward output and the input gradient for upstream ``g``.
+    """
+    b, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), constant_values=-np.inf)
+    win = ops._windows(xp, 3, 1, h, w).reshape(b, c, h, w, 9)
+    idx = np.argmax(win, axis=-1)
+    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    dxp = np.zeros(xp.shape, dtype=g.dtype)
+    bi = np.arange(b)[:, None, None, None]
+    ci = np.arange(c)[None, :, None, None]
+    hi = np.arange(h)[None, None, :, None]
+    wi = np.arange(w)[None, None, None, :]
+    np.add.at(dxp, (bi, ci, hi + idx // 3, wi + idx % 3), g)
+    return out, dxp[:, :, 1 : 1 + h, 1 : 1 + w]
+
+
+def _maxpool_input(kind, shape, rng):
+    x = rng.normal(size=shape)
+    if kind == "plateaus":  # few distinct values: most windows hold tied maxima
+        return np.round(x)
+    if kind == "signed_zeros":  # +0.0 and -0.0 tie but differ bitwise
+        return np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    if kind == "neg_inf":  # whole windows of -inf, and -inf cells beside finite ones
+        x[..., : (shape[2] + 1) // 2, :] = -np.inf
+        x[0] = -np.inf
+        return x
+    if kind == "nan":  # a NaN window's maximum is NaN, and its gradient goes to its first NaN
+        x[rng.random(shape) < 0.2] = np.nan
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("kind", ["random", "plateaus", "signed_zeros", "neg_inf", "nan"])
+@pytest.mark.parametrize("h,w", [(1, 1), (1, 4), (4, 1), (2, 2), (5, 3), (14, 14)])
+def test_maxpool_matches_window_reference_bitwise(h, w, kind, dtype):
+    rng = np.random.default_rng(h * 100 + w)
+    x = _maxpool_input(kind, (2, 3, h, w), rng).astype(dtype)
+    g = rng.normal(size=x.shape).astype(dtype)
+    expect_out, expect_grad = reference_maxpool(x, g)
+    xt = parameter(x.copy())
+    out = ops.maxpool_3x3_p1(xt)
+    out.backward(g)
+    assert out.data.dtype == dtype and xt.grad.dtype == dtype
+    # compared as bytes, so the sign of a zero and the order of summation both count
+    assert out.data.tobytes() == np.ascontiguousarray(expect_out).tobytes()
+    assert xt.grad.tobytes() == np.ascontiguousarray(expect_grad).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # spatial softmax
 # ---------------------------------------------------------------------------
