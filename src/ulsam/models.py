@@ -438,6 +438,10 @@ def predict_proba(graph: ModelGraph, x) -> np.ndarray:
 
 def spatial_trace(graph: ModelGraph, input_hw: int = 224) -> list[tuple[int, int]]:
     """Output (h, w) per layer, mirroring the kernels' floor-division geometry."""
+    if input_hw < graph.min_input:
+        raise ConfigurationError(
+            f"model input spatial size {input_hw}x{input_hw} is below the minimum {graph.min_input}"
+        )
     h = w = input_hw
     trace = []
     for spec in graph.layers:

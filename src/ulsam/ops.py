@@ -1,7 +1,10 @@
 """Convolution, pooling, activation, and normalization kernels.
 
 Every op is a pure function: it validates shapes, computes the forward result
-from ``Tensor.data``, and attaches an analytic backward closure to the output.
+from ``Tensor.data``, and hands it to :func:`ulsam.tensor.op_result` with one
+analytic gradient function per input. Each gradient function reads the
+forward's locals and returns that input's gradient; ``op_result`` decides
+whether the tape records it and adds the gradients into the inputs.
 Kernels are deterministic (fixed reduction order, no RNG) and never mutate
 their inputs; batch-norm running statistics are the one piece of state, held
 in plain arrays owned by the caller and updated only in training mode.
@@ -21,7 +24,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import instrument
 from .errors import ConfigurationError
-from .tensor import Array, Tensor, needs_tape, op_result
+from .tensor import Array, Tensor, op_result
 
 CONV_STANDARD = "standard"
 CONV_DEPTHWISE = "depthwise"
@@ -101,30 +104,21 @@ def conv2d_standard(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 
         out = out + bias.data[None, :]
     out = out.reshape(b, h_out, w_out, n).transpose(0, 3, 1, 2)
 
-    inputs = (x, weights) + ((bias,) if bias is not None else ())
+    def dx(g: Array) -> Array:
+        dxp = np.zeros((b, m, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
+        for i in range(k):
+            for j in range(k):
+                # (b,n,ho,wo) x (n,m) -> (b,ho,wo,m)
+                contrib = np.tensordot(g, weights.data[:, :, i, j], axes=([1], [0])).transpose(0, 3, 1, 2)
+                dxp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += contrib
+        return dxp[:, :, padding : padding + h, padding : padding + w] if padding else dxp
 
-    def _bwd(g: Array, x=x, weights=weights, bias=bias, cols=cols, st=stride, pd=padding,
-             geom=(h_out, w_out)) -> None:
-        bb, mm, hh, ww = x.shape
-        nn, _, kk, _ = weights.shape
-        ho, wo = geom
-        g_mat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(bb * ho * wo, nn)
-        if needs_tape(weights):
-            dw = (g_mat.T @ cols).reshape(nn, mm, kk, kk)
-            weights.accumulate_grad(dw)
-        if bias is not None and needs_tape(bias):
-            bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
-        if needs_tape(x):
-            dxp = np.zeros((bb, mm, hh + 2 * pd, ww + 2 * pd), dtype=g.dtype)
-            wdat = weights.data
-            for i in range(kk):
-                for j in range(kk):
-                    # (b,n,ho,wo) x (n,m) -> (b,ho,wo,m)
-                    contrib = np.tensordot(g, wdat[:, :, i, j], axes=([1], [0]))
-                    dxp[:, :, i : i + st * ho : st, j : j + st * wo : st] += contrib.transpose(0, 3, 1, 2)
-            x.accumulate_grad(dxp[:, :, pd : pd + hh, pd : pd + ww] if pd else dxp)
+    def dw(g: Array) -> Array:
+        g_mat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(b * h_out * w_out, n)
+        return (g_mat.T @ cols).reshape(n, m, k, k)
 
-    return op_result(np.ascontiguousarray(out), inputs, _bwd, "conv2d")
+    return op_result(np.ascontiguousarray(out), "conv2d", (x, dx), (weights, dw),
+                     (bias, lambda g: g.sum(axis=(0, 2, 3))))
 
 
 def depthwise_conv(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -141,23 +135,16 @@ def depthwise_conv(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 0
     out = np.einsum("bchwij,cij->bchw", win, weights.data, optimize=True)
     instrument.tally(CONV_DEPTHWISE, b * m * h_out * w_out * k * k)
 
-    def _bwd(g: Array, x=x, weights=weights, xp=xp, st=stride, pd=padding, geom=(h_out, w_out)) -> None:
-        bb, mm, hh, ww = x.shape
-        kk = weights.shape[-1]
-        ho, wo = geom
-        if needs_tape(weights):
-            win_b = _windows(xp, kk, st, ho, wo)
-            dw = np.einsum("bchwij,bchw->cij", win_b, g, optimize=True)
-            weights.accumulate_grad(dw)
-        if needs_tape(x):
-            dxp = np.zeros((bb, mm, hh + 2 * pd, ww + 2 * pd), dtype=g.dtype)
-            wdat = weights.data
-            for i in range(kk):
-                for j in range(kk):
-                    dxp[:, :, i : i + st * ho : st, j : j + st * wo : st] += g * wdat[None, :, i, j, None, None]
-            x.accumulate_grad(dxp[:, :, pd : pd + hh, pd : pd + ww] if pd else dxp)
+    def dx(g: Array) -> Array:
+        dxp = np.zeros(xp.shape, dtype=g.dtype)
+        for i in range(k):
+            for j in range(k):
+                dxp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += (
+                    g * weights.data[None, :, i, j, None, None])
+        return dxp[:, :, padding : padding + h, padding : padding + w] if padding else dxp
 
-    return op_result(np.ascontiguousarray(out), (x, weights), _bwd, "depthwise_conv")
+    return op_result(np.ascontiguousarray(out), "depthwise_conv", (x, dx),
+                     (weights, lambda g: np.einsum("bchwij,bchw->cij", win, g, optimize=True)))
 
 
 def pointwise_conv(x: Tensor, weights: Tensor, bias: Optional[Tensor] = None) -> Tensor:
@@ -166,30 +153,19 @@ def pointwise_conv(x: Tensor, weights: Tensor, bias: Optional[Tensor] = None) ->
     b, m, h, w = x.shape
     _check_conv("pointwise_conv", x, weights, weights.shape[:1] + (m, 1, 1), bias=bias)
     n = weights.shape[0]
-    w2d = weights.data.reshape(n, m)
-    out = np.matmul(w2d, x.data.reshape(b, m, h * w)).reshape(b, n, h, w)
+    x_flat = x.data.reshape(b, m, h * w)
+    out = np.matmul(weights.data.reshape(n, m), x_flat).reshape(b, n, h, w)
     instrument.tally(CONV_POINTWISE, b * m * n * h * w)
     if bias is not None:
         out = out + bias.data[None, :, None, None]
 
-    inputs = (x, weights) + ((bias,) if bias is not None else ())
+    def dx(g: Array) -> Array:
+        return np.matmul(weights.data.reshape(n, m).T, g.reshape(b, n, h * w)).reshape(x.shape)
 
-    def _bwd(g: Array, x=x, weights=weights, bias=bias) -> None:
-        bb, mm, hh, ww = x.shape
-        nn = weights.shape[0]
-        g_flat = g.reshape(bb, nn, hh * ww)
-        if needs_tape(weights):
-            x_flat = x.data.reshape(bb, mm, hh * ww)
-            dw = np.einsum("bnl,bml->nm", g_flat, x_flat, optimize=True)
-            weights.accumulate_grad(dw.reshape(nn, mm, 1, 1))
-        if bias is not None and needs_tape(bias):
-            bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
-        if needs_tape(x):
-            w2d_b = weights.data.reshape(nn, mm)
-            dx = np.matmul(w2d_b.T, g_flat).reshape(bb, mm, hh, ww)
-            x.accumulate_grad(dx)
+    def dw(g: Array) -> Array:
+        return np.einsum("bnl,bml->nm", g.reshape(b, n, h * w), x_flat, optimize=True).reshape(n, m, 1, 1)
 
-    return op_result(out, inputs, _bwd, "pointwise_conv")
+    return op_result(out, "pointwise_conv", (x, dx), (weights, dw), (bias, lambda g: g.sum(axis=(0, 2, 3))))
 
 
 def grouped_pointwise(x: Tensor, weights: Tensor, groups: int) -> Tensor:
@@ -209,16 +185,13 @@ def grouped_pointwise(x: Tensor, weights: Tensor, groups: int) -> Tensor:
     out = np.einsum("bkcl,kc->bkl", x.data.reshape(grouped), weights.data.reshape(grouped[1:3]))
     instrument.tally(CONV_POINTWISE, b * m * h * w)
 
-    def _bwd(g: Array, x=x, weights=weights, grouped=grouped) -> None:
-        bb, gg, width, hw = grouped
-        g_maps = g.reshape(bb, gg, 1, hw)
-        if needs_tape(weights):
-            dw = np.einsum("bkl,bkcl->kc", g_maps[:, :, 0], x.data.reshape(grouped))
-            weights.accumulate_grad(dw.reshape(-1))
-        if needs_tape(x):
-            x.accumulate_grad((g_maps * weights.data.reshape(1, gg, width, 1)).reshape(x.shape))
+    def dx(g: Array) -> Array:
+        return (g.reshape(b, groups, 1, h * w) * weights.data.reshape(1, groups, m // groups, 1)).reshape(x.shape)
 
-    return op_result(out.reshape(b, groups, h, w), (x, weights), _bwd, "grouped_pointwise")
+    def dw(g: Array) -> Array:
+        return np.einsum("bkl,bkcl->kc", g.reshape(b, groups, h * w), x.data.reshape(grouped)).reshape(-1)
+
+    return op_result(out.reshape(b, groups, h, w), "grouped_pointwise", (x, dx), (weights, dw))
 
 
 # ---------------------------------------------------------------------------
@@ -251,30 +224,27 @@ def maxpool_3x3_p1(x: Tensor) -> Tensor:
     rows = np.maximum(np.maximum(xp[..., 2:], xp[..., 1 : w + 1]), xp[..., :w])
     out = np.maximum(np.maximum(rows[:, :, 2:], rows[:, :, 1 : h + 1]), rows[:, :, :h])
 
-    def _bwd(g: Array, x=x, xp=xp, out=out) -> None:
-        if not needs_tape(x):
-            return
-        hh, ww = out.shape[2:]
+    def dx(g: Array) -> Array:
         offsets = [(i, j) for i in range(3) for j in range(3)]
         free = np.ones(out.shape, dtype=bool)
         hits = np.empty((9,) + out.shape, dtype=bool)
         for hit, (i, j) in zip(hits, offsets):
-            np.equal(xp[:, :, i : i + hh, j : j + ww], out, out=hit)
+            np.equal(xp[:, :, i : i + h, j : j + w], out, out=hit)
             hit &= free
             free ^= hit
         if free.any():  # a NaN maximum equals nothing, so NaN windows are still free
             for hit, (i, j) in zip(hits, offsets):
-                nan = np.isnan(xp[:, :, i : i + hh, j : j + ww]) & free
+                nan = np.isnan(xp[:, :, i : i + h, j : j + w]) & free
                 hit |= nan
                 free ^= nan
         dxp = np.zeros(xp.shape, dtype=g.dtype)
         part = np.empty(out.shape, dtype=g.dtype)
         for hit, (i, j) in zip(hits[::-1], offsets[::-1]):
             np.multiply(g, hit, out=part)
-            dxp[:, :, i : i + hh, j : j + ww] += part
-        x.accumulate_grad(dxp[:, :, 1 : 1 + hh, 1 : 1 + ww])
+            dxp[:, :, i : i + h, j : j + w] += part
+        return dxp[:, :, 1 : 1 + h, 1 : 1 + w]
 
-    return op_result(out, (x,), _bwd, "maxpool_3x3_p1")
+    return op_result(out, "maxpool_3x3_p1", (x, dx))
 
 
 def spatial_softmax(x: Tensor) -> Tensor:
@@ -289,14 +259,12 @@ def spatial_softmax(x: Tensor) -> Tensor:
     e = np.exp(z)
     s = e / e.sum(axis=2, keepdims=True)
 
-    def _bwd(g: Array, x=x, s=s) -> None:
-        if not needs_tape(x):
-            return
+    def dx(g: Array) -> Array:
         gf = g.reshape(s.shape)
         dot = (gf * s).sum(axis=2, keepdims=True)
-        x.accumulate_grad((s * (gf - dot)).reshape(x.shape))
+        return (s * (gf - dot)).reshape(x.shape)
 
-    return op_result(s.reshape(x.shape), (x,), _bwd, "spatial_softmax")
+    return op_result(s.reshape(x.shape), "spatial_softmax", (x, dx))
 
 
 def broadcast_mul_add(f: Tensor, a: Tensor) -> Tensor:
@@ -318,17 +286,11 @@ def broadcast_mul_add(f: Tensor, a: Tensor) -> Tensor:
         )
     grouped = (b, g, m // g, h, w)
     fg = f.data.reshape(grouped)
-    out = (a.data.reshape(b, g, 1, h, w) * fg + fg).reshape(f.shape)
-
-    def _bwd(grad: Array, f=f, a=a, grouped=grouped) -> None:
-        bb, gg, _, hh, ww = grouped
-        grad = grad.reshape(grouped)
-        if needs_tape(f):
-            f.accumulate_grad((grad * (a.data.reshape(bb, gg, 1, hh, ww) + 1.0)).reshape(f.shape))
-        if needs_tape(a):
-            a.accumulate_grad((grad * f.data.reshape(grouped)).sum(axis=2))
-
-    return op_result(out, (f, a), _bwd, "broadcast_mul_add")
+    ag = a.data.reshape(b, g, 1, h, w)
+    out = (ag * fg + fg).reshape(f.shape)
+    return op_result(out, "broadcast_mul_add",
+                     (f, lambda grad: (grad.reshape(grouped) * (ag + 1.0)).reshape(f.shape)),
+                     (a, lambda grad: (grad.reshape(grouped) * fg).sum(axis=2)))
 
 
 def channel_concat(parts: Sequence[Tensor]) -> Tensor:
@@ -344,12 +306,8 @@ def channel_concat(parts: Sequence[Tensor]) -> Tensor:
     out = np.concatenate([p.data for p in parts], axis=1)
     offsets = np.cumsum([0] + [p.shape[1] for p in parts])
 
-    def _bwd(g: Array, parts=tuple(parts), offsets=offsets) -> None:
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if needs_tape(p):
-                p.accumulate_grad(g[:, lo:hi])
-
-    return op_result(out, tuple(parts), _bwd, "channel_concat")
+    return op_result(out, "channel_concat", *[(p, lambda g, lo=lo, hi=hi: g[:, lo:hi])
+                                              for p, lo, hi in zip(parts, offsets[:-1], offsets[1:])])
 
 
 def channel_slice(x: Tensor, start: int, stop: int) -> Tensor:
@@ -357,16 +315,13 @@ def channel_slice(x: Tensor, start: int, stop: int) -> Tensor:
     _require_rank4(x, "channel_slice")
     if not (0 <= start < stop <= x.shape[1]):
         raise ConfigurationError(f"channel_slice: [{start}, {stop}) out of range for {x.shape[1]} channels")
-    out = x.data[:, start:stop].copy()
 
-    def _bwd(g: Array, x=x, start=start, stop=stop) -> None:
-        if not needs_tape(x):
-            return
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[:, start:stop] += g
+    def dx(g: Array) -> Array:
+        full = np.zeros_like(x.data)
+        full[:, start:stop] = g
+        return full
 
-    return op_result(out, (x,), _bwd, "channel_slice")
+    return op_result(x.data[:, start:stop].copy(), "channel_slice", (x, dx))
 
 
 def slice1d(x: Tensor, start: int, stop: int) -> Tensor:
@@ -376,25 +331,17 @@ def slice1d(x: Tensor, start: int, stop: int) -> Tensor:
     if not (0 <= start < stop <= x.shape[0]):
         raise ConfigurationError(f"slice1d: [{start}, {stop}) out of range for length {x.shape[0]}")
 
-    def _bwd(g: Array, x=x, start=start, stop=stop) -> None:
-        if not needs_tape(x):
-            return
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[start:stop] += g
+    def dx(g: Array) -> Array:
+        full = np.zeros_like(x.data)
+        full[start:stop] = g
+        return full
 
-    return op_result(x.data[start:stop].copy(), (x,), _bwd, "slice1d")
+    return op_result(x.data[start:stop].copy(), "slice1d", (x, dx))
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:
     """Reshape with gradient routing; element count must be preserved."""
-    out = x.data.reshape(shape)
-
-    def _bwd(g: Array, x=x) -> None:
-        if needs_tape(x):
-            x.accumulate_grad(g.reshape(x.shape))
-
-    return op_result(out.copy(), (x,), _bwd, "reshape")
+    return op_result(x.data.reshape(shape).copy(), "reshape", (x, lambda g: g.reshape(x.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +354,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
     _require_rank4(x, "global_avg_pool")
     b, c, h, w = x.shape
     out = x.data.mean(axis=(2, 3), keepdims=True)
-
-    def _bwd(g: Array, x=x, hw=h * w) -> None:
-        if needs_tape(x):
-            x.accumulate_grad(np.broadcast_to(g / hw, x.shape).copy())
-
-    return op_result(out, (x,), _bwd, "global_avg_pool")
+    return op_result(out, "global_avg_pool", (x, lambda g: np.broadcast_to(g / (h * w), x.shape)))
 
 
 def fully_connected(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
@@ -436,27 +378,15 @@ def fully_connected(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) ->
     if bias is not None:
         out = out + bias.data[None, :]
 
-    inputs = (x, weight) + ((bias,) if bias is not None else ())
-
-    def _bwd(g: Array, x=x, weight=weight, bias=bias, b=b, feat=feat) -> None:
-        x2d_b = x.data.reshape(b, feat)
-        if needs_tape(weight):
-            weight.accumulate_grad(x2d_b.T @ g)
-        if bias is not None and needs_tape(bias):
-            bias.accumulate_grad(g.sum(axis=0))
-        if needs_tape(x):
-            x.accumulate_grad((g @ weight.data.T).reshape(x.shape))
-
-    return op_result(out, inputs, _bwd, "fully_connected")
+    return op_result(out, "fully_connected", (x, lambda g: (g @ weight.data.T).reshape(x.shape)),
+                     (weight, lambda g: x2d.T @ g), (bias, lambda g: g.sum(axis=0)))
 
 
 def _elementwise(x: Tensor, out_data: Array, local_grad: Array, name: str) -> Tensor:
+    def dx(g: Array) -> Array:
+        return g * local_grad
 
-    def _bwd(g: Array, x=x, local_grad=local_grad) -> None:
-        if needs_tape(x):
-            x.accumulate_grad(g * local_grad)
-
-    return op_result(out_data, (x,), _bwd, name)
+    return op_result(out_data, name, (x, dx))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -496,20 +426,13 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Array, runn
     x_hat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
     out = gamma.data[None, :, None, None] * x_hat + beta.data[None, :, None, None]
 
-    inputs = (x, gamma, beta)
+    def dx(g: Array) -> Array:
+        scale = gamma.data[None, :, None, None] * inv_std[None, :, None, None]
+        if not train:
+            return scale * g
+        g_mean = g.mean(axis=(0, 2, 3), keepdims=True)
+        gx_mean = (g * x_hat).mean(axis=(0, 2, 3), keepdims=True)
+        return scale * (g - g_mean - x_hat * gx_mean)
 
-    def _bwd(g: Array, x=x, gamma=gamma, beta=beta, x_hat=x_hat, inv_std=inv_std, train=train) -> None:
-        if needs_tape(beta):
-            beta.accumulate_grad(g.sum(axis=(0, 2, 3)))
-        if needs_tape(gamma):
-            gamma.accumulate_grad((g * x_hat).sum(axis=(0, 2, 3)))
-        if needs_tape(x):
-            scale = gamma.data[None, :, None, None] * inv_std[None, :, None, None]
-            if train:
-                g_mean = g.mean(axis=(0, 2, 3), keepdims=True)
-                gx_mean = (g * x_hat).mean(axis=(0, 2, 3), keepdims=True)
-                x.accumulate_grad(scale * (g - g_mean - x_hat * gx_mean))
-            else:
-                x.accumulate_grad(scale * g)
-
-    return op_result(out, inputs, _bwd, "batch_norm")
+    return op_result(out, "batch_norm", (x, dx), (gamma, lambda g: (g * x_hat).sum(axis=(0, 2, 3))),
+                     (beta, lambda g: g.sum(axis=(0, 2, 3))))

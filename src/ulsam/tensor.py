@@ -1,9 +1,12 @@
 """Dense tensor container with reverse-mode gradient recording.
 
 A :class:`Tensor` wraps a NumPy array plus an optional gradient buffer. Ops
-(see :mod:`ulsam.ops`) are pure functions: they read input ``.data``, produce a
-new Tensor, and attach a closure that routes upstream gradients back to the
-inputs. ``backward()`` replays those closures in reverse topological order.
+(see :mod:`ulsam.ops`) are pure functions: they read input ``.data``, compute
+the output and hand it to :func:`op_result` with one gradient function per
+input. ``op_result`` owns the tape rule: it links the output to its inputs
+only while recording and only when an input needs gradients, and its one
+backward closure adds each needed input's gradient into that input's
+``.grad``. ``backward()`` replays those closures in reverse topological order.
 
 Convolutional code treats tensors as rank-4 ``(batch, channels, height,
 width)``; the container itself is rank-agnostic so scalars (losses) and
@@ -133,28 +136,12 @@ class Tensor:
             raise TypeError("Tensor addition expects another Tensor")
         if self.shape != other.shape:
             raise ConfigurationError(f"add: shape mismatch {self.shape} vs {other.shape}")
-
-        def _bwd(g: Array, a=self, b=other) -> None:
-            if needs_tape(a):
-                a.accumulate_grad(g)
-            if needs_tape(b):
-                b.accumulate_grad(g)
-
-        return op_result(self.data + other.data, (self, other), _bwd, "add")
+        return op_result(self.data + other.data, "add", (self, lambda g: g), (other, lambda g: g))
 
 
 def parameter(data, name: str = "", dtype=None) -> Tensor:
     """A leaf tensor that wants gradients (model weights)."""
-    arr = np.asarray(data, dtype=dtype if dtype is not None else np.asarray(data).dtype)
-    if arr.dtype not in (np.float32, np.float64):
-        arr = arr.astype(np.float64)
-    t = Tensor(arr, requires_grad=True, name=name)
-    return t
-
-
-def needs_tape(*tensors: Tensor) -> bool:
-    """True when an op's output must carry a backward closure."""
-    return any(t.requires_grad or t._parents for t in tensors)
+    return Tensor(np.asarray(data, dtype=dtype), requires_grad=True, name=name)
 
 
 @contextmanager
@@ -168,9 +155,24 @@ def no_tape() -> Iterator[None]:
         _recording = previous
 
 
-def op_result(data, inputs: tuple, backward: Callable[[Array], None], name: str) -> Tensor:
-    """An op's output: linked to ``inputs`` with ``backward`` attached while the
-    tape records and any input needs it, otherwise a leaf that keeps nothing alive."""
-    if _recording and needs_tape(*inputs):
-        return Tensor(data, parents=inputs, backward=backward, name=name)
-    return Tensor(data, name=name)
+def op_result(data, name: str, *grads: tuple[Optional[Tensor], Callable[[Array], Array]]) -> Tensor:
+    """An op's output ``data`` together with the gradient rule of each input.
+
+    Each of ``grads`` is an ``(input, fn)`` pair: ``fn`` maps the output's
+    gradient to that input's gradient, in the input's shape. A ``None`` input
+    (an absent bias) is skipped. While the tape records and some input needs
+    it, the output is linked to its inputs and gets one backward closure that
+    calls ``fn`` only for the inputs that need the tape and adds each result
+    into that input's ``.grad``. Otherwise the output is a leaf that keeps
+    nothing alive.
+    """
+    # an input needs the tape when it wants gradients or was itself recorded
+    taped = [(t, fn) for t, fn in grads if t is not None and (t.requires_grad or t._parents)] if _recording else []
+    if not taped:
+        return Tensor(data, name=name)
+
+    def backward(g: Array) -> None:
+        for t, fn in taped:
+            t.accumulate_grad(fn(g))
+
+    return Tensor(data, parents=(t for t, _ in grads if t is not None), backward=backward, name=name)

@@ -132,13 +132,13 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     lse = np.log(np.exp(z).sum(axis=1))
     losses = lse - z[np.arange(b), labels]
 
-    def _bwd(g, logits=logits, z=z, labels=labels, b=b):
+    def dlogits(g):
         soft = np.exp(z)
         soft /= soft.sum(axis=1, keepdims=True)
         soft[np.arange(b), labels] -= 1.0
-        logits.accumulate_grad(float(g) * soft / b)
+        return float(g) * soft / b
 
-    return op_result(np.array(losses.mean(), dtype=logits.dtype), (logits,), _bwd, "cross_entropy")
+    return op_result(np.array(losses.mean(), dtype=logits.dtype), "cross_entropy", (logits, dlogits))
 
 
 def topk_accuracy(logits: np.ndarray, labels: np.ndarray, k: int) -> float:

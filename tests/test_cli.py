@@ -91,6 +91,14 @@ def test_analyze_rejects_alpha_on_mv2(tmp_path, capsys):
     assert code == 2 and "alpha" in err
 
 
+@pytest.mark.parametrize("command", ["describe", "analyze"])
+@pytest.mark.parametrize("size", [-5, 0, 8])
+def test_input_size_below_model_minimum_rejected(command, size, capsys):
+    code, out, err = run_cli([command, "--input-size", str(size)], capsys)
+    assert code == 2 and out == ""
+    assert f"{size}x{size}" in err and "minimum 32" in err
+
+
 def test_cli_overrides_beat_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"arch": "mv1", "alpha": 1.0, "num_classes": 1000,

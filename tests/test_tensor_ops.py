@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ulsam import gradcheck, instrument, ops
 from ulsam.errors import ConfigurationError
-from ulsam.tensor import Tensor, no_tape, parameter
+from ulsam.tensor import Tensor, no_tape, op_result, parameter
 
 
 def t(arr, **kw):
@@ -487,3 +487,93 @@ def test_no_tape_records_nothing_but_leaves_backward_working():
         recorded.backward(np.ones(x.shape))  # a tape recorded before still runs
     np.testing.assert_array_equal(w.grad, (x > 0).astype(float))
     assert ops.relu(w)._parents
+
+
+def _never(g):
+    raise AssertionError("gradient asked of an input that needs no tape")
+
+
+def test_op_result_asks_only_inputs_that_need_the_tape():
+    w, x = parameter(np.ones(3)), Tensor(np.ones(3))
+    out = op_result(np.zeros(3), "probe", (x, _never), (None, _never), (w, lambda g: 2.0 * g))
+    assert out._parents == (x, w)
+    out.backward(np.array([1.0, -1.0, 0.5]))
+    np.testing.assert_array_equal(w.grad, [2.0, -2.0, 1.0])
+    assert x.grad is None
+
+
+def test_op_result_is_a_leaf_without_a_taped_input():
+    w, x = parameter(np.ones(3)), Tensor(np.ones(3))
+    leaves = [op_result(np.zeros(3), "probe", (x, _never), (None, _never))]
+    with no_tape():
+        leaves.append(op_result(np.zeros(3), "probe", (w, _never)))
+    for out in leaves:
+        assert out._parents == () and out._backward is None
+
+
+def test_tensor_passed_as_both_inputs_receives_both_gradients():
+    w = parameter(np.arange(4.0))
+    g = np.array([1.0, -2.0, 0.5, 3.0])
+    (w + w).backward(g)
+    np.testing.assert_array_equal(w.grad, 2 * g)
+
+
+# each op on a plain (2, 2, 4, 4) data input ``x``; ``p(*shape)`` makes a parameter
+WEIGHTED_OPS = {
+    "add": lambda x, p: x + p(2, 2, 4, 4),
+    "conv2d_standard": lambda x, p: ops.conv2d_standard(x, p(3, 2, 3, 3), 1, 1, p(3)),
+    "depthwise_conv": lambda x, p: ops.depthwise_conv(x, p(2, 3, 3), 2, 1),
+    "pointwise_conv": lambda x, p: ops.pointwise_conv(x, p(3, 2, 1, 1), p(3)),
+    "grouped_pointwise": lambda x, p: ops.grouped_pointwise(x, p(2), 2),
+    "broadcast_mul_add": lambda x, p: ops.broadcast_mul_add(x, p(2, 1, 4, 4)),
+    "channel_concat": lambda x, p: ops.channel_concat([x, p(2, 1, 4, 4)]),
+    "fully_connected": lambda x, p: ops.fully_connected(x, p(32, 3), p(3)),
+    "batch_norm": lambda x, p: ops.batch_norm(x, p(2), p(2), np.zeros(2), np.ones(2), train=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTED_OPS))
+def test_plain_data_input_gets_no_gradient_but_weights_do(name):
+    rng = np.random.default_rng(23)
+    weights = []
+
+    def p(*shape):
+        weights.append(parameter(rng.normal(size=shape)))
+        return weights[-1]
+
+    x = Tensor(rng.normal(size=(2, 2, 4, 4)))
+    out = WEIGHTED_OPS[name](x, p)
+    out.backward(rng.normal(size=out.shape))
+    assert x.grad is None
+    assert weights and all(w.grad is not None and w.grad.shape == w.shape for w in weights)
+
+
+UNWEIGHTED_OPS = {
+    "relu": ops.relu,
+    "relu6": ops.relu6,
+    "maxpool_3x3_p1": ops.maxpool_3x3_p1,
+    "spatial_softmax": ops.spatial_softmax,
+    "global_avg_pool": ops.global_avg_pool,
+    "channel_slice": lambda x: ops.channel_slice(x, 0, 1),
+    "reshape": lambda x: ops.reshape(x, (4, 16)),
+    "slice1d": lambda x: ops.slice1d(Tensor(x.data.reshape(-1)), 3, 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNWEIGHTED_OPS))
+def test_unweighted_op_on_plain_input_is_a_leaf(name):
+    out = UNWEIGHTED_OPS[name](Tensor(np.random.default_rng(24).normal(size=(2, 2, 4, 4))))
+    assert out._parents == () and out._backward is None
+
+
+def test_parameter_keeps_dtype_and_aliasing():
+    a64, a32 = np.arange(3.0), np.arange(3, dtype=np.float32)
+    assert parameter(a64).data is a64 and parameter(a32).data is a32
+    for data in ([1, 2], [1.5, 2.0], np.arange(3), 5):
+        p = parameter(data, name="w")
+        assert p.dtype == np.float64 and p.requires_grad and p.name == "w"
+        np.testing.assert_array_equal(p.data, data)
+    assert parameter(a64, dtype=np.float32).dtype == np.float32
+    assert parameter([1, 2], dtype=np.float32).dtype == np.float32
+    assert parameter(np.arange(3), dtype=np.int32).dtype == np.float64
+    assert parameter(a32, dtype=np.float64).data is not a32
