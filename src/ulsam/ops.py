@@ -9,6 +9,12 @@ Kernels are deterministic (fixed reduction order, no RNG) and never mutate
 their inputs; batch-norm running statistics are the one piece of state, held
 in plain arrays owned by the caller and updated only in training mode.
 
+A forward allocates little beyond its output, because an inference pass
+(no tape) never reads what only a backward needs: inference batch-norm is
+one per-channel scale and shift, ``relu``/``relu6`` build their masks in the
+backward from the saved input, and ``depthwise_conv`` copies its windows in
+channel blocks of about ``WINDOW_BLOCK_BYTES``.
+
 Layout convention: rank-4 activations ``(batch, channels, height, width)``.
 Convolution is cross-correlation (no kernel flip). Max-pool padding uses -inf
 so padded cells never win, and gradient on ties goes to the first maximum in
@@ -32,6 +38,11 @@ CONV_POINTWISE = "pointwise"
 
 BN_MOMENTUM = 0.9
 BN_EPS = 1e-5
+
+# depthwise_conv copies its windows (einsum's batched matmul needs them
+# contiguous) in channel blocks of about this size, so each copy stays in
+# cache instead of being faulted in afresh on every call
+WINDOW_BLOCK_BYTES = 4 << 20
 
 
 def _require_rank4(x: Tensor, who: str) -> None:
@@ -122,7 +133,14 @@ def conv2d_standard(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 
 
 
 def depthwise_conv(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Per-channel cross-correlation, ``weights`` ``(m, k, k)``: output channel c depends only on input channel c."""
+    """Per-channel cross-correlation, ``weights`` ``(m, k, k)``: output channel c depends only on input channel c.
+
+    The forward runs one einsum per block of channels over the strided
+    windows, each block's window copy about ``WINDOW_BLOCK_BYTES`` (at least
+    one channel), into one preallocated output. Every channel is summed as in
+    a single call over all channels, so the result does not depend on the
+    block size.
+    """
     _require_rank4(x, "depthwise_conv")
     b, m, h, w = x.shape
     _check_conv("depthwise_conv", x, weights, (m,) + weights.shape[-1:] * 2, stride, padding)
@@ -132,7 +150,11 @@ def depthwise_conv(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 0
 
     xp = _pad_spatial(x.data, padding)
     win = _windows(xp, k, stride, h_out, w_out)
-    out = np.einsum("bchwij,cij->bchw", win, weights.data, optimize=True)
+    out = np.empty((b, m, h_out, w_out), dtype=np.result_type(xp, weights.data))
+    step = max(1, WINDOW_BLOCK_BYTES // (b * h_out * w_out * k * k * xp.itemsize))
+    for c in range(0, m, step):
+        np.einsum("bchwij,cij->bchw", win[:, c : c + step], weights.data[c : c + step],
+                  out=out[:, c : c + step], optimize=True)
     instrument.tally(CONV_DEPTHWISE, b * m * h_out * w_out * k * k)
 
     def dx(g: Array) -> Array:
@@ -143,7 +165,7 @@ def depthwise_conv(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 0
                     g * weights.data[None, :, i, j, None, None])
         return dxp[:, :, padding : padding + h, padding : padding + w] if padding else dxp
 
-    return op_result(np.ascontiguousarray(out), "depthwise_conv", (x, dx),
+    return op_result(out, "depthwise_conv", (x, dx),
                      (weights, lambda g: np.einsum("bchwij,bchw->cij", win, g, optimize=True)))
 
 
@@ -382,21 +404,14 @@ def fully_connected(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) ->
                      (weight, lambda g: x2d.T @ g), (bias, lambda g: g.sum(axis=0)))
 
 
-def _elementwise(x: Tensor, out_data: Array, local_grad: Array, name: str) -> Tensor:
-    def dx(g: Array) -> Array:
-        return g * local_grad
-
-    return op_result(out_data, name, (x, dx))
-
-
 def relu(x: Tensor) -> Tensor:
-    return _elementwise(x, np.maximum(x.data, 0.0), (x.data > 0).astype(x.dtype), "relu")
+    return op_result(np.maximum(x.data, 0.0), "relu", (x, lambda g: g * (x.data > 0).astype(g.dtype)))
 
 
 def relu6(x: Tensor) -> Tensor:
-    out = np.minimum(np.maximum(x.data, 0.0), 6.0)
-    mask = ((x.data > 0) & (x.data < 6)).astype(x.dtype)
-    return _elementwise(x, out, mask, "relu6")
+    out = np.maximum(x.data, 0.0)
+    np.minimum(out, 6.0, out=out)
+    return op_result(out, "relu6", (x, lambda g: g * ((x.data > 0) & (x.data < 6)).astype(g.dtype)))
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Array, running_var: Array,
@@ -405,7 +420,11 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Array, runn
 
     Training mode uses biased batch statistics and folds them into the running
     buffers as ``running = BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch``;
-    inference mode normalizes with the running buffers only.
+    inference mode normalizes with the running buffers only, folded into
+    ``scale = gamma * inv_std`` and ``shift = beta - mean * scale`` so the
+    output is ``x * scale + shift``: two passes over ``x``. The normalized
+    input ``x_hat`` is kept only in training mode; in inference mode the gamma
+    gradient builds it when a backward asks for it.
     """
     _require_rank4(x, "batch_norm")
     b, c, h, w = x.shape
@@ -423,16 +442,27 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Array, runn
         var = running_var.astype(x.dtype)
 
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    x_hat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out = gamma.data[None, :, None, None] * x_hat + beta.data[None, :, None, None]
+    scale = (gamma.data * inv_std)[None, :, None, None]
+
+    def normalize() -> Array:
+        return (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
+
+    if train:
+        x_hat = normalize()
+        out = gamma.data[None, :, None, None] * x_hat + beta.data[None, :, None, None]
+    else:
+        x_hat = None
+        out = x.data * scale
+        out += beta.data[None, :, None, None] - mean[None, :, None, None] * scale
 
     def dx(g: Array) -> Array:
-        scale = gamma.data[None, :, None, None] * inv_std[None, :, None, None]
         if not train:
             return scale * g
         g_mean = g.mean(axis=(0, 2, 3), keepdims=True)
         gx_mean = (g * x_hat).mean(axis=(0, 2, 3), keepdims=True)
         return scale * (g - g_mean - x_hat * gx_mean)
 
-    return op_result(out, "batch_norm", (x, dx), (gamma, lambda g: (g * x_hat).sum(axis=(0, 2, 3))),
-                     (beta, lambda g: g.sum(axis=(0, 2, 3))))
+    def dgamma(g: Array) -> Array:
+        return (g * (normalize() if x_hat is None else x_hat)).sum(axis=(0, 2, 3))
+
+    return op_result(out, "batch_norm", (x, dx), (gamma, dgamma), (beta, lambda g: g.sum(axis=(0, 2, 3))))

@@ -132,13 +132,12 @@ def test_gradcheck_fixed_seed_reports_identically(capsys):
 
 
 def test_gradcheck_corrupted_backward_fails_naming_op(monkeypatch, capsys):
-    from ulsam import ops
-
-    real = ops._elementwise
+    from ulsam.tensor import op_result
 
     def corrupted_relu6(x):
         mask = ((x.data > 0) & (x.data < 6)).astype(x.dtype)
-        return real(x, np.clip(x.data, 0.0, 6.0), mask * 1.01, "relu6")  # 1% skewed backward
+        # 1% skewed backward
+        return op_result(np.clip(x.data, 0.0, 6.0), "relu6", (x, lambda g: g * (mask * 1.01)))
 
     monkeypatch.setattr("ulsam.ops.relu6", corrupted_relu6)
     code, out, err = run_cli(["gradcheck"], capsys)

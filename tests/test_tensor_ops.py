@@ -1,5 +1,7 @@
 """Kernel-level tests: forward values, shape validation, gradients, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,6 +92,47 @@ def test_depthwise_channel_independence_bitwise():
     poked[0, 0] += rng.normal(size=(5, 5))
     out = ops.depthwise_conv(t(poked), t(w), padding=1).data
     np.testing.assert_array_equal(base[0, 1:], out[0, 1:])
+
+
+def shifted_depthwise(x, w, stride, padding):
+    """Reference: the sum of the k*k shifted, per-channel scaled input slices."""
+    k = w.shape[-1]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    h_out = (x.shape[2] + 2 * padding - k) // stride + 1
+    w_out = (x.shape[3] + 2 * padding - k) // stride + 1
+    out = np.zeros(x.shape[:2] + (h_out, w_out))
+    for i in range(k):
+        for j in range(k):
+            shifted = xp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
+            out += shifted * w[None, :, i, j, None, None]
+    return out
+
+
+# block budgets in channels' worth of window copy: several blocks with an
+# uneven last one, one channel per block, and less than one channel
+@pytest.mark.parametrize("channels_per_block", [3, 1, 0.5])
+@pytest.mark.parametrize("k,stride,padding", [(3, 1, 1), (3, 2, 1), (3, 1, 0), (3, 2, 0), (1, 1, 0), (1, 2, 1)])
+def test_depthwise_window_blocks_match_shifted_reference(monkeypatch, channels_per_block, k, stride, padding):
+    rng = np.random.default_rng(25)
+    x, w = rng.normal(size=(3, 7, 9, 8)), rng.normal(size=(7, k, k))
+    single = ops.depthwise_conv(t(x), t(w), stride, padding).data
+    channel_bytes = x.shape[0] * single.shape[2] * single.shape[3] * k * k * x.itemsize
+    # blocks run along the channel axis, so every boundary splits each batch item's channels
+    monkeypatch.setattr(ops, "WINDOW_BLOCK_BYTES", int(channels_per_block * channel_bytes))
+    out = ops.depthwise_conv(t(x), t(w), stride, padding).data
+    assert out.flags.c_contiguous
+    np.testing.assert_array_equal(out, single)
+    ref = shifted_depthwise(x, w, stride, padding)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_depthwise_window_copy_above_block_budget_matches_reference():
+    rng = np.random.default_rng(26)
+    x, w = rng.normal(size=(2, 24, 56, 56)), rng.normal(size=(24, 3, 3))
+    assert 9 * x.nbytes > 2 * ops.WINDOW_BLOCK_BYTES  # 3x3 windows at stride 1, padding 1: three blocks
+    out = ops.depthwise_conv(t(x), t(w), 1, 1).data
+    ref = shifted_depthwise(x, w, 1, 1)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_depthwise_rejects_channel_change():
@@ -451,6 +494,29 @@ def test_batch_norm_infer_uses_running_stats_only():
     out = ops.batch_norm(Tensor(x), gamma, beta, mean.copy(), var.copy(), train=False)
     expect = 2.0 * (x - mean[None, :, None, None]) / np.sqrt(var[None, :, None, None] + 1e-5) + 1.0
     np.testing.assert_allclose(out.data, expect, rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["relu", "relu6", "batch_norm"])
+def test_inference_activation_allocates_only_its_output(name):
+    rng = np.random.default_rng(27)
+    x = Tensor((4.0 * rng.normal(size=(4, 32, 56, 56))).astype(np.float32))
+    gamma = parameter(rng.uniform(0.5, 2.0, 32).astype(np.float32))
+    beta = parameter(rng.normal(size=32).astype(np.float32))
+    mean, var = rng.normal(size=32), rng.uniform(0.5, 2.0, 32)  # float64 buffers, float32 output
+    saved = mean.tobytes(), var.tobytes()
+    run = {"relu": lambda: ops.relu(x), "relu6": lambda: ops.relu6(x),
+           "batch_norm": lambda: ops.batch_norm(x, gamma, beta, mean, var, train=False)}[name]
+    with no_tape():
+        run()
+        tracemalloc.start()
+        try:
+            out = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert out.dtype == np.float32
+    assert peak <= 1.25 * out.data.nbytes, f"{name} peaked at {peak / out.data.nbytes:.2f}x its output"
+    assert (mean.tobytes(), var.tobytes()) == saved
 
 
 def test_float32_inputs_stay_float32():
