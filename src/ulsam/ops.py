@@ -12,8 +12,10 @@ in plain arrays owned by the caller and updated only in training mode.
 A forward allocates little beyond its output, because an inference pass
 (no tape) never reads what only a backward needs: inference batch-norm is
 one per-channel scale and shift, ``relu``/``relu6`` build their masks in the
-backward from the saved input, and ``depthwise_conv`` copies its windows in
-channel blocks of about ``WINDOW_BLOCK_BYTES``.
+backward from the saved input, and ``depthwise_conv`` runs as a banded GEMM
+per channel whose input rows are copied in channel blocks of about
+``DEPTHWISE_BLOCK_BYTES``. Its backward works per kernel tap on strided
+slices of the padded input, with no window copy.
 
 Layout convention: rank-4 activations ``(batch, channels, height, width)``.
 Convolution is cross-correlation (no kernel flip). Max-pool padding uses -inf
@@ -39,10 +41,13 @@ CONV_POINTWISE = "pointwise"
 BN_MOMENTUM = 0.9
 BN_EPS = 1e-5
 
-# depthwise_conv copies its windows (einsum's batched matmul needs them
-# contiguous) in channel blocks of about this size, so each copy stays in
-# cache instead of being faulted in afresh on every call
-WINDOW_BLOCK_BYTES = 4 << 20
+# depthwise_conv's forward computes each output row in tiles of this many
+# columns: one tile's band GEMM reads k rows of stride * (tile - 1) + k input
+# columns, so the copy of its rows is about 3.4x the input at k=3, stride 1
+DEPTHWISE_TILE = 14
+# and copies those tile rows in channel blocks of about this size, so each
+# block stays in cache between its copy and its GEMM
+DEPTHWISE_BLOCK_BYTES = 256 << 10
 
 
 def _require_rank4(x: Tensor, who: str) -> None:
@@ -69,10 +74,14 @@ def _windows(xp: Array, k: int, stride: int, h_out: int, w_out: int) -> Array:
     )
 
 
-def _pad_spatial(x: Array, pad: int, value: float = 0.0) -> Array:
-    if pad == 0:
+def _pad_spatial(x: Array, pad: int, value: float = 0.0, right: int = 0) -> Array:
+    """``x`` with ``pad`` cells of ``value`` on every spatial side and ``right`` more columns on the right."""
+    if pad == 0 and right == 0:
         return np.ascontiguousarray(x)
-    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=value)
+    b, c, h, w = x.shape
+    xp = np.full((b, c, h + 2 * pad, w + 2 * pad + right), value, dtype=x.dtype)
+    xp[:, :, pad : pad + h, pad : pad + w] = x
+    return xp
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +144,27 @@ def conv2d_standard(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 
 def depthwise_conv(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Per-channel cross-correlation, ``weights`` ``(m, k, k)``: output channel c depends only on input channel c.
 
-    The forward runs one einsum per block of channels over the strided
-    windows, each block's window copy about ``WINDOW_BLOCK_BYTES`` (at least
-    one channel), into one preallocated output. Every channel is summed as in
-    a single call over all channels, so the result does not depend on the
-    block size.
+    For k > 1 the forward is a banded GEMM per channel. Each output row is cut
+    into tiles of T = ``DEPTHWISE_TILE`` columns (T = ``w_out`` when the
+    output is narrower); the k input rows by ``stride * (T - 1) + k`` input
+    columns under a tile form one row of ``A``. Channel c's band ``B_c`` has
+    shape ``(k * span, T)`` with ``B_c[i, stride * n + j, n] = w[c, i, j]``, so
+    ``A_c @ B_c`` is that channel's output. ``A`` is copied from a strided
+    view of the padded input (right-padded so the last tile fits) in channel
+    blocks of about ``DEPTHWISE_BLOCK_BYTES``, and one ``np.matmul`` per block
+    writes into the preallocated output. Each channel runs its own GEMMs, so
+    the result does not depend on the block size. The band's zeros are
+    multiplied too, so a non-finite input reaches every output of the tile
+    rows whose ``A`` rows hold it (k rows by up to T columns), not only its
+    k x k window: outside the window they are NaN (``0 * inf``), and NumPy
+    warns of an invalid value in ``matmul``.
+
+    For k = 1 there is no window and the forward is the per-channel scale of
+    the strided input, ``x * w``.
+
+    The backward works per kernel tap on strided slices of the padded input:
+    the weight gradient is k*k per-channel dot products, and the input
+    gradient adds each tap's scaled output gradient through one temporary.
     """
     _require_rank4(x, "depthwise_conv")
     b, m, h, w = x.shape
@@ -147,26 +172,53 @@ def depthwise_conv(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 0
     k = weights.shape[-1]
     h_out = _out_extent(h, padding, k, stride, "depthwise_conv")
     w_out = _out_extent(w, padding, k, stride, "depthwise_conv")
-
-    xp = _pad_spatial(x.data, padding)
-    win = _windows(xp, k, stride, h_out, w_out)
-    out = np.empty((b, m, h_out, w_out), dtype=np.result_type(xp, weights.data))
-    step = max(1, WINDOW_BLOCK_BYTES // (b * h_out * w_out * k * k * xp.itemsize))
-    for c in range(0, m, step):
-        np.einsum("bchwij,cij->bchw", win[:, c : c + step], weights.data[c : c + step],
-                  out=out[:, c : c + step], optimize=True)
     instrument.tally(CONV_DEPTHWISE, b * m * h_out * w_out * k * k)
 
+    if k == 1:
+        xp = _pad_spatial(x.data, padding)
+        out = xp[:, :, ::stride, ::stride] * weights.data
+    else:
+        tile = min(DEPTHWISE_TILE, w_out)
+        tiles = -(-w_out // tile)
+        span = stride * (tile - 1) + k
+        # the last tile reads up to column stride * (tile * tiles - 1) + k - 1 of the padded input
+        xp = _pad_spatial(x.data, padding, right=max(0, stride * (tile * tiles - 1) + k - (w + 2 * padding)))
+        s0, s1, s2, s3 = xp.strides
+        rows = as_strided(xp, shape=(b, m, h_out, tiles, k, span),
+                          strides=(s0, s1, s2 * stride, s3 * stride * tile, s2, s3), writeable=False)
+        dtype = np.result_type(xp, weights.data)
+        band = np.zeros((m, k, span, tile), dtype=dtype)
+        for n in range(tile):
+            band[:, :, stride * n : stride * n + k, n] = weights.data
+        band = band.reshape(m, k * span, tile)
+        wide = np.empty((b, m, h_out * tiles, tile), dtype=dtype)
+        step = min(m, max(1, DEPTHWISE_BLOCK_BYTES // (b * h_out * tiles * k * span * xp.itemsize)))
+        a = np.empty((b, step, h_out, tiles, k, span), dtype=xp.dtype)
+        for c in range(0, m, step):
+            block = a[:, : m - c]
+            np.copyto(block, rows[:, c : c + step])
+            np.matmul(block.reshape(b, -1, h_out * tiles, k * span), band[c : c + step], out=wide[:, c : c + step])
+        wide = wide.reshape(b, m, h_out, tiles * tile)
+        out = wide if tiles * tile == w_out else np.ascontiguousarray(wide[..., :w_out])
+
     def dx(g: Array) -> Array:
-        dxp = np.zeros(xp.shape, dtype=g.dtype)
+        dxp = np.zeros((b, m, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
+        part = np.empty_like(g)
         for i in range(k):
             for j in range(k):
-                dxp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += (
-                    g * weights.data[None, :, i, j, None, None])
-        return dxp[:, :, padding : padding + h, padding : padding + w] if padding else dxp
+                np.multiply(g, weights.data[None, :, i, j, None, None], out=part)
+                dxp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += part
+        return dxp[:, :, padding : padding + h, padding : padding + w]
 
-    return op_result(out, "depthwise_conv", (x, dx),
-                     (weights, lambda g: np.einsum("bchwij,bchw->cij", win, g, optimize=True)))
+    def dw(g: Array) -> Array:
+        grad = np.empty(weights.shape, dtype=g.dtype)
+        for i in range(k):
+            for j in range(k):
+                tap = xp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
+                grad[:, i, j] = np.einsum("bchw,bchw->c", tap, g)
+        return grad
+
+    return op_result(out, "depthwise_conv", (x, dx), (weights, dw))
 
 
 def pointwise_conv(x: Tensor, weights: Tensor, bias: Optional[Tensor] = None) -> Tensor:

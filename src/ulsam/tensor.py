@@ -84,8 +84,10 @@ class Tensor:
 
     def accumulate_grad(self, g: Array) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # +0.0 + g in one pass: the same bits (and broadcast) as adding g into zeros, without the fill
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None

@@ -108,7 +108,15 @@ def shifted_depthwise(x, w, stride, padding):
     return out
 
 
-# block budgets in channels' worth of window copy: several blocks with an
+def band_channel_bytes(x, out, k, stride):
+    """Bytes of one channel's tile-row copy in the banded forward that maps ``x`` to ``out``."""
+    b, _, h_out, w_out = out.shape
+    tile = min(ops.DEPTHWISE_TILE, w_out)
+    tiles = -(-w_out // tile)
+    return b * h_out * tiles * k * (stride * (tile - 1) + k) * x.itemsize
+
+
+# block budgets in channels' worth of tile-row copy: several blocks with an
 # uneven last one, one channel per block, and less than one channel
 @pytest.mark.parametrize("channels_per_block", [3, 1, 0.5])
 @pytest.mark.parametrize("k,stride,padding", [(3, 1, 1), (3, 2, 1), (3, 1, 0), (3, 2, 0), (1, 1, 0), (1, 2, 1)])
@@ -116,9 +124,8 @@ def test_depthwise_window_blocks_match_shifted_reference(monkeypatch, channels_p
     rng = np.random.default_rng(25)
     x, w = rng.normal(size=(3, 7, 9, 8)), rng.normal(size=(7, k, k))
     single = ops.depthwise_conv(t(x), t(w), stride, padding).data
-    channel_bytes = x.shape[0] * single.shape[2] * single.shape[3] * k * k * x.itemsize
     # blocks run along the channel axis, so every boundary splits each batch item's channels
-    monkeypatch.setattr(ops, "WINDOW_BLOCK_BYTES", int(channels_per_block * channel_bytes))
+    monkeypatch.setattr(ops, "DEPTHWISE_BLOCK_BYTES", int(channels_per_block * band_channel_bytes(x, single, k, stride)))
     out = ops.depthwise_conv(t(x), t(w), stride, padding).data
     assert out.flags.c_contiguous
     np.testing.assert_array_equal(out, single)
@@ -129,10 +136,63 @@ def test_depthwise_window_blocks_match_shifted_reference(monkeypatch, channels_p
 def test_depthwise_window_copy_above_block_budget_matches_reference():
     rng = np.random.default_rng(26)
     x, w = rng.normal(size=(2, 24, 56, 56)), rng.normal(size=(24, 3, 3))
-    assert 9 * x.nbytes > 2 * ops.WINDOW_BLOCK_BYTES  # 3x3 windows at stride 1, padding 1: three blocks
+    # 3x3 windows at stride 1, padding 1 (output shape = input shape): the tile rows span more than two blocks
+    assert x.shape[1] * band_channel_bytes(x, x, 3, 1) > 2 * ops.DEPTHWISE_BLOCK_BYTES
     out = ops.depthwise_conv(t(x), t(w), 1, 1).data
     ref = shifted_depthwise(x, w, 1, 1)
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# (width, k, stride, padding) whose output is wider than one tile and, but
+# for two, not a multiple of it: w_out 15, 20, 29; odd widths at stride 2;
+# k=3 without padding; the k=1 scale at stride 2 with padding
+BEYOND_ONE_TILE = [(15, 3, 1, 1), (20, 3, 1, 1), (29, 3, 1, 1), (29, 3, 2, 1), (31, 3, 2, 1), (33, 3, 2, 0),
+                   (17, 3, 1, 0), (30, 3, 1, 0), (29, 1, 2, 1)]
+
+
+@pytest.mark.parametrize("width,k,stride,padding", BEYOND_ONE_TILE)
+def test_depthwise_widths_beyond_one_tile_match_reference(width, k, stride, padding):
+    rng = np.random.default_rng(27)
+    x, w = parameter(rng.normal(size=(2, 3, 5, width))), parameter(rng.normal(size=(3, k, k)))
+    out = ops.depthwise_conv(x, w, stride, padding)
+    assert out.data.flags.c_contiguous
+    ref = shifted_depthwise(x.data, w.data, stride, padding)
+    assert out.shape == ref.shape and ref.shape[3] > ops.DEPTHWISE_TILE
+    assert np.max(np.abs(out.data - ref)) <= 1e-12 * np.max(np.abs(ref))
+    out.backward(rng.normal(size=out.shape))
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
+
+@pytest.mark.parametrize("width,stride", [(17, 1), (31, 2)])
+def test_depthwise_gradients_beyond_one_tile(width, stride):
+    rng = np.random.default_rng(28)
+    arrays = [rng.standard_normal((1, 2, 4, width)), rng.standard_normal((2, 3, 3))]
+    err = gradcheck.check_fn(lambda xt, wt: ops.depthwise_conv(xt, wt, stride, 1), arrays, rng)
+    assert err < gradcheck.PER_OP_TOL
+
+
+@pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1)])
+def test_depthwise_k1_is_bitwise_per_channel_scale(stride, padding):
+    rng = np.random.default_rng(29)
+    x, w = rng.normal(size=(2, 5, 6, 7)), rng.normal(size=(5, 1, 1))
+    out = ops.depthwise_conv(t(x), t(w), stride, padding).data
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    np.testing.assert_array_equal(out, xp[:, :, ::stride, ::stride] * w[None, :, 0, 0, None, None])
+
+
+def test_depthwise_non_finite_input_spreads_across_its_tile_row():
+    # a band's zeros meet the inf too (0 * inf = NaN), so every output of the
+    # tile rows holding it is NaN, except its own 3x3 window, which is inf
+    x = np.random.default_rng(30).normal(size=(1, 1, 5, 30))
+    x[0, 0, 2, 3] = np.inf
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in matmul"):
+        out = ops.depthwise_conv(t(x), t(np.ones((1, 3, 3))), 1, 1).data[0, 0]
+    window, tile_rows = np.zeros(out.shape, dtype=bool), np.zeros(out.shape, dtype=bool)
+    window[1:4, 2:5] = True  # output rows 1-3 and columns 2-4 see input (2, 3)
+    tile_rows[1:4, : ops.DEPTHWISE_TILE] = True  # input column 3 lies in tile 0's rows
+    assert np.isposinf(out[window]).all()
+    assert np.isnan(out[tile_rows & ~window]).all()
+    assert np.isfinite(out[~tile_rows]).all()
 
 
 def test_depthwise_rejects_channel_change():
