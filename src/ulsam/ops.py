@@ -14,8 +14,16 @@ A forward allocates little beyond its output, because an inference pass
 one per-channel scale and shift, ``relu``/``relu6`` build their masks in the
 backward from the saved input, and ``depthwise_conv`` runs as a banded GEMM
 per channel whose input rows are copied in channel blocks of about
-``DEPTHWISE_BLOCK_BYTES``. Its backward works per kernel tap on strided
-slices of the padded input, with no window copy.
+``CHANNEL_BLOCK_BYTES``. Its backward works per kernel tap on strided
+slices of the padded input, with no window copy; at k=1, stride 1 and no
+padding its input gradient is the per-channel scale ``g * w``.
+
+A backward also costs about what its gradient needs. ``maxpool_3x3_p1``
+finds each window's first-claimed cell from the forward's row maxima, as
+small column and row indices, and adds the output gradient into the claimed
+cells with one ``np.add.at`` per channel block of about
+``CHANNEL_BLOCK_BYTES``: no per-offset masks, and an inf or NaN in the output
+gradient reaches only the cell its window claims.
 
 Layout convention: rank-4 activations ``(batch, channels, height, width)``.
 Convolution is cross-correlation (no kernel flip). Max-pool padding uses -inf
@@ -45,9 +53,11 @@ BN_EPS = 1e-5
 # columns: one tile's band GEMM reads k rows of stride * (tile - 1) + k input
 # columns, so the copy of its rows is about 3.4x the input at k=3, stride 1
 DEPTHWISE_TILE = 14
-# and copies those tile rows in channel blocks of about this size, so each
-# block stays in cache between its copy and its GEMM
-DEPTHWISE_BLOCK_BYTES = 256 << 10
+# Kernels that work in channel blocks size each block's temporaries to about
+# this many bytes, so a block stays in cache from one pass over it to the next:
+# depthwise_conv's forward copies its tile rows per block before the GEMM, and
+# maxpool_3x3_p1's backward builds and scatters its claim indices per block
+CHANNEL_BLOCK_BYTES = 256 << 10
 
 
 def _require_rank4(x: Tensor, who: str) -> None:
@@ -151,7 +161,7 @@ def depthwise_conv(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 0
     shape ``(k * span, T)`` with ``B_c[i, stride * n + j, n] = w[c, i, j]``, so
     ``A_c @ B_c`` is that channel's output. ``A`` is copied from a strided
     view of the padded input (right-padded so the last tile fits) in channel
-    blocks of about ``DEPTHWISE_BLOCK_BYTES``, and one ``np.matmul`` per block
+    blocks of about ``CHANNEL_BLOCK_BYTES``, and one ``np.matmul`` per block
     writes into the preallocated output. Each channel runs its own GEMMs, so
     the result does not depend on the block size. The band's zeros are
     multiplied too, so a non-finite input reaches every output of the tile
@@ -165,6 +175,9 @@ def depthwise_conv(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 0
     The backward works per kernel tap on strided slices of the padded input:
     the weight gradient is k*k per-channel dot products, and the input
     gradient adds each tap's scaled output gradient through one temporary.
+    At k = 1, stride 1 and no padding the input gradient is ``g * w``; the
+    per-tap sum adds that into zeros, which only turns -0.0 into +0.0, and
+    ``Tensor.accumulate_grad`` does the same, so the accumulated bits agree.
     """
     _require_rank4(x, "depthwise_conv")
     b, m, h, w = x.shape
@@ -192,7 +205,7 @@ def depthwise_conv(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 0
             band[:, :, stride * n : stride * n + k, n] = weights.data
         band = band.reshape(m, k * span, tile)
         wide = np.empty((b, m, h_out * tiles, tile), dtype=dtype)
-        step = min(m, max(1, DEPTHWISE_BLOCK_BYTES // (b * h_out * tiles * k * span * xp.itemsize)))
+        step = min(m, max(1, CHANNEL_BLOCK_BYTES // (b * h_out * tiles * k * span * xp.itemsize)))
         a = np.empty((b, step, h_out, tiles, k, span), dtype=xp.dtype)
         for c in range(0, m, step):
             block = a[:, : m - c]
@@ -202,6 +215,8 @@ def depthwise_conv(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 0
         out = wide if tiles * tile == w_out else np.ascontiguousarray(wide[..., :w_out])
 
     def dx(g: Array) -> Array:
+        if k == 1 and stride == 1 and padding == 0:
+            return g * weights.data
         dxp = np.zeros((b, m, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
         part = np.empty_like(g)
         for i in range(k):
@@ -273,6 +288,22 @@ def grouped_pointwise(x: Tensor, weights: Tensor, groups: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _first_claims(a0: Array, a1: Array, top: Array, nan: bool) -> tuple[Array, Array]:
+    """Where the first of candidates ``a0, a1, a2`` claims their maximum ``top``, and where one of the first two does.
+
+    A candidate claims when it equals ``top``. NaN equals nothing, so with
+    ``nan`` set a NaN candidate claims too: ``top`` is NaN exactly when one
+    of its three is, and then its first NaN claims.
+    """
+    first = a0 == top
+    first_two = a1 == top
+    if nan:
+        first |= np.isnan(a0)
+        first_two |= np.isnan(a1)
+    first_two |= first
+    return first, first_two
+
+
 def maxpool_3x3_p1(x: Tensor) -> Tensor:
     """3x3 max pool, padding 1, stride 1: spatial shape is preserved.
 
@@ -281,12 +312,21 @@ def maxpool_3x3_p1(x: Tensor) -> Tensor:
 
     The forward is separable: a 3-wide row max over the padded input, then a
     3-tall column max over that, each two ``np.maximum`` calls on shifted
-    slices. The backward walks the 9 window offsets in row-major order and
-    lets each window claim the first offset whose input equals its maximum;
-    an all -inf window claims its top-left cell, a window with a NaN its
-    first NaN. It then adds the offsets' claimed gradients in reverse order,
-    so each input cell receives its windows' gradients in row-major window
-    order: the sums are bitwise those of a scatter-add over the windows.
+    slices.
+
+    The backward finds each window's first-claimed cell separably too. For
+    every padded row and output column it takes the first of the 3 cells
+    that equals the row max, then for every window the first of its 3 rows
+    whose row max equals the window max; a NaN maximum is claimed by the first
+    NaN, and an all -inf window by its top-left cell. Both indices are small
+    unsigned integers, combined into the claimed cell's offset from the
+    window's top-left corner and then into a flat index of the padded layout.
+    One ``np.add.at`` adds the output gradient into the claimed cells in
+    row-major window order, exactly as a scatter-add over the windows does,
+    so the sums are bitwise those of that scatter. A non-finite output
+    gradient reaches only the cell its window claims. The backward runs over
+    blocks of ``(batch * channel)`` planes whose claim indices take about
+    ``CHANNEL_BLOCK_BYTES``, capped at the tensor's own plane count.
     """
     _require_rank4(x, "maxpool_3x3_p1")
     b, c, h, w = x.shape
@@ -299,24 +339,33 @@ def maxpool_3x3_p1(x: Tensor) -> Tensor:
     out = np.maximum(np.maximum(rows[:, :, 2:], rows[:, :, 1 : h + 1]), rows[:, :, :h])
 
     def dx(g: Array) -> Array:
-        offsets = [(i, j) for i in range(3) for j in range(3)]
-        free = np.ones(out.shape, dtype=bool)
-        hits = np.empty((9,) + out.shape, dtype=bool)
-        for hit, (i, j) in zip(hits, offsets):
-            np.equal(xp[:, :, i : i + h, j : j + w], out, out=hit)
-            hit &= free
-            free ^= hit
-        if free.any():  # a NaN maximum equals nothing, so NaN windows are still free
-            for hit, (i, j) in zip(hits, offsets):
-                nan = np.isnan(xp[:, :, i : i + h, j : j + w]) & free
-                hit |= nan
-                free ^= nan
-        dxp = np.zeros(xp.shape, dtype=g.dtype)
-        part = np.empty(out.shape, dtype=g.dtype)
-        for hit, (i, j) in zip(hits[::-1], offsets[::-1]):
-            np.multiply(g, hit, out=part)
-            dxp[:, :, i : i + h, j : j + w] += part
-        return dxp[:, :, 1 : 1 + h, 1 : 1 + w]
+        planes, hp, wp = b * c, h + 2, w + 2
+        xp3, rows3 = xp.reshape(planes, hp, wp), rows.reshape(planes, hp, w)
+        out3, g3 = out.reshape(planes, h, w), g.reshape(planes, h, w)
+        step = min(planes, max(1, CHANNEL_BLOCK_BYTES // (h * w * np.dtype(np.intp).itemsize)))
+        # a claimed cell lies at most 2 * wp + 2 cells after its window's top-left corner
+        small = np.min_scalar_type(2 * wp + 2)
+        corner = np.arange(step)[:, None, None] * (hp * wp) + np.arange(h)[:, None] * wp + np.arange(w)
+        scatter = np.empty((step, hp, wp), dtype=g.dtype)
+        grad = np.empty((planes, h, w), dtype=g.dtype)
+        for p in range(0, planes, step):
+            n = min(step, planes - p)
+            xb, rb, ob = xp3[p : p + n], rows3[p : p + n], out3[p : p + n]
+            nan = bool(np.isnan(ob).any())
+            first, first_two = _first_claims(xb[..., :w], xb[..., 1 : w + 1], rb, nan)
+            col = np.add(~first, ~first_two, dtype=small)  # claimed column under each padded row's max
+            first, first_two = _first_claims(rb[:, :h], rb[:, 1 : h + 1], ob, nan)
+            c0, c1, c2 = col[:, :h], col[:, 1 : h + 1], col[:, 2:]
+            # row i's claim sits i * wp + c_i after the corner; the differences
+            # wrap around in ``small``, but the chosen offset fits it exactly
+            offset = c2 + 2 * wp
+            offset += (c1 - c2 - wp) * first_two
+            offset += (c0 - c1 - wp) * first
+            block = scatter[:n]
+            block.fill(0)
+            np.add.at(block.reshape(-1), (corner[:n] + offset).reshape(-1), g3[p : p + n].reshape(-1))
+            grad[p : p + n] = block[:, 1 : h + 1, 1 : w + 1]
+        return grad.reshape(out.shape)
 
     return op_result(out, "maxpool_3x3_p1", (x, dx))
 

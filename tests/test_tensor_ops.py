@@ -125,7 +125,7 @@ def test_depthwise_window_blocks_match_shifted_reference(monkeypatch, channels_p
     x, w = rng.normal(size=(3, 7, 9, 8)), rng.normal(size=(7, k, k))
     single = ops.depthwise_conv(t(x), t(w), stride, padding).data
     # blocks run along the channel axis, so every boundary splits each batch item's channels
-    monkeypatch.setattr(ops, "DEPTHWISE_BLOCK_BYTES", int(channels_per_block * band_channel_bytes(x, single, k, stride)))
+    monkeypatch.setattr(ops, "CHANNEL_BLOCK_BYTES", int(channels_per_block * band_channel_bytes(x, single, k, stride)))
     out = ops.depthwise_conv(t(x), t(w), stride, padding).data
     assert out.flags.c_contiguous
     np.testing.assert_array_equal(out, single)
@@ -137,7 +137,7 @@ def test_depthwise_window_copy_above_block_budget_matches_reference():
     rng = np.random.default_rng(26)
     x, w = rng.normal(size=(2, 24, 56, 56)), rng.normal(size=(24, 3, 3))
     # 3x3 windows at stride 1, padding 1 (output shape = input shape): the tile rows span more than two blocks
-    assert x.shape[1] * band_channel_bytes(x, x, 3, 1) > 2 * ops.DEPTHWISE_BLOCK_BYTES
+    assert x.shape[1] * band_channel_bytes(x, x, 3, 1) > 2 * ops.CHANNEL_BLOCK_BYTES
     out = ops.depthwise_conv(t(x), t(w), 1, 1).data
     ref = shifted_depthwise(x, w, 1, 1)
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -178,6 +178,18 @@ def test_depthwise_k1_is_bitwise_per_channel_scale(stride, padding):
     out = ops.depthwise_conv(t(x), t(w), stride, padding).data
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     np.testing.assert_array_equal(out, xp[:, :, ::stride, ::stride] * w[None, :, 0, 0, None, None])
+
+
+def test_depthwise_k1_input_gradient_has_the_per_tap_sums_bits():
+    # zero gradients against negative weights give -0.0, which a sum into zeros turns into +0.0
+    rng = np.random.default_rng(33)
+    x, w = parameter(rng.normal(size=(2, 5, 6, 7))), parameter(rng.normal(size=(5, 1, 1)))
+    w.data[::2] = -np.abs(w.data[::2])
+    g = np.where(rng.random((2, 5, 6, 7)) < 0.3, 0.0, rng.normal(size=(2, 5, 6, 7)))
+    ops.depthwise_conv(x, w).backward(g)
+    per_tap = np.zeros(x.shape)
+    per_tap += g * w.data[None, :, 0, 0, None, None]
+    assert x.grad.tobytes() == per_tap.tobytes()
 
 
 def test_depthwise_non_finite_input_spreads_across_its_tile_row():
@@ -359,6 +371,67 @@ def test_maxpool_matches_window_reference_bitwise(h, w, kind, dtype):
     # compared as bytes, so the sign of a zero and the order of summation both count
     assert out.data.tobytes() == np.ascontiguousarray(expect_out).tobytes()
     assert xt.grad.tobytes() == np.ascontiguousarray(expect_grad).tobytes()
+
+
+def pool_plane_bytes(h, w):
+    """Bytes of one (item, channel) plane's claim indices in the max-pool backward, which sets its block size."""
+    return h * w * np.dtype(np.intp).itemsize
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("kind", ["random", "plateaus", "signed_zeros", "neg_inf", "nan"])
+@pytest.mark.parametrize("h,w", [(1, 1), (1, 4), (4, 1), (2, 2), (5, 3), (14, 14)])
+def test_maxpool_scatter_blocks_match_window_reference_bitwise(monkeypatch, h, w, kind, dtype):
+    # the reference test's 2 x 3 = 6 planes, scattered in blocks of 4: one whole block and a remainder of 2
+    monkeypatch.setattr(ops, "CHANNEL_BLOCK_BYTES", 4 * pool_plane_bytes(h, w))
+    test_maxpool_matches_window_reference_bitwise(h, w, kind, dtype)
+
+
+def test_maxpool_non_finite_gradient_reaches_only_the_claimed_cell():
+    # every window of a 4x4 ramp claims its bottom-right cell; window (0, 0) claims (1, 1)
+    x = np.arange(16.0).reshape(1, 1, 4, 4)
+    g = np.zeros_like(x)
+    g[0, 0, 0, 0] = np.inf
+    xt = parameter(x.copy())
+    ops.maxpool_3x3_p1(xt).backward(g)
+    expect = np.zeros_like(x)
+    expect[0, 0, 1, 1] = np.inf
+    np.testing.assert_array_equal(xt.grad, expect)
+    assert xt.grad.tobytes() == reference_maxpool(x, g)[1].tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("kind", ["random", "plateaus", "neg_inf", "nan"])
+def test_maxpool_non_finite_gradients_match_window_reference_bitwise(kind, dtype):
+    rng = np.random.default_rng(31)
+    x = _maxpool_input(kind, (2, 3, 6, 5), rng).astype(dtype)
+    g = rng.normal(size=x.shape)
+    draw = rng.random(x.shape)
+    g[draw < 0.1], g[draw > 0.9], g[(draw > 0.5) & (draw < 0.6)] = np.inf, -np.inf, np.nan
+    g = g.astype(dtype)
+    xt = parameter(x.copy())
+    with np.errstate(invalid="ignore"):  # a cell claimed by an inf and a -inf window sums to NaN
+        ops.maxpool_3x3_p1(xt).backward(g)
+        expect = np.ascontiguousarray(reference_maxpool(x, g)[1])
+    # a NaN's sign bit is not fixed by IEEE 754 (NaN + NaN may keep either operand's), so NaNs
+    # compare by position and every other cell as bytes
+    nan = np.isnan(expect)
+    assert np.array_equal(np.isnan(xt.grad), nan)
+    assert xt.grad[~nan].tobytes() == expect[~nan].tobytes()
+
+
+def test_maxpool_backward_peak_allocation_stays_below_four_inputs():
+    rng = np.random.default_rng(32)
+    x = parameter(rng.standard_normal((8, 512, 14, 14), dtype=np.float32))
+    g = rng.standard_normal(x.shape, dtype=np.float32)
+    out = ops.maxpool_3x3_p1(x)
+    tracemalloc.start()
+    try:
+        out.backward(g)  # holds the output's gradient, the input gradient and x.grad: 3x before any temporary
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * x.data.nbytes, f"max-pool backward peaked at {peak / x.data.nbytes:.2f}x its input"
 
 
 # ---------------------------------------------------------------------------
