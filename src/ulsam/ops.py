@@ -14,16 +14,20 @@ A forward allocates little beyond its output, because an inference pass
 one per-channel scale and shift, ``relu``/``relu6`` build their masks in the
 backward from the saved input, and ``depthwise_conv`` runs as a banded GEMM
 per channel whose input rows are copied in channel blocks of about
-``CHANNEL_BLOCK_BYTES``. Its backward works per kernel tap on strided
-slices of the padded input, with no window copy; at k=1, stride 1 and no
-padding its input gradient is the per-channel scale ``g * w``.
+``CHANNEL_BLOCK_BYTES``.
 
-A backward also costs about what its gradient needs. ``maxpool_3x3_p1``
-finds each window's first-claimed cell from the forward's row maxima, as
-small column and row indices, and adds the output gradient into the claimed
-cells with one ``np.add.at`` per channel block of about
-``CHANNEL_BLOCK_BYTES``: no per-offset masks, and an inf or NaN in the output
-gradient reaches only the cell its window claims.
+A backward also costs about what its gradient needs. ``depthwise_conv``'s
+runs through the same band as its forward: the input gradient is the band
+on the dilated, padded output gradient with the kernel rotated 180 degrees,
+and the weight gradient is the band's adjoint, one GEMM per channel block
+and a sum over each band's diagonals. Neither keeps the forward's padded
+input on the tape; at k=1, stride 1 and no padding the input gradient is
+the per-channel scale ``g * w``. ``maxpool_3x3_p1`` finds each window's
+first-claimed cell from the forward's row maxima, as small column and row
+indices, and adds the output gradient into the claimed cells with one
+``np.add.at`` per channel block of about ``CHANNEL_BLOCK_BYTES``: no
+per-offset masks, and an inf or NaN in the output gradient reaches only the
+cell its window claims.
 
 Layout convention: rank-4 activations ``(batch, channels, height, width)``.
 Convolution is cross-correlation (no kernel flip). Max-pool padding uses -inf
@@ -49,14 +53,16 @@ CONV_POINTWISE = "pointwise"
 BN_MOMENTUM = 0.9
 BN_EPS = 1e-5
 
-# depthwise_conv's forward computes each output row in tiles of this many
-# columns: one tile's band GEMM reads k rows of stride * (tile - 1) + k input
-# columns, so the copy of its rows is about 3.4x the input at k=3, stride 1
+# depthwise_conv's band (forward and backward) computes each output row in
+# tiles of this many columns: one tile's GEMM reads k rows of
+# stride * (tile - 1) + k input columns, so the copy of its rows is about 3.4x
+# the input at k=3, stride 1
 DEPTHWISE_TILE = 14
 # Kernels that work in channel blocks size each block's temporaries to about
 # this many bytes, so a block stays in cache from one pass over it to the next:
-# depthwise_conv's forward copies its tile rows per block before the GEMM, and
-# maxpool_3x3_p1's backward builds and scatters its claim indices per block
+# depthwise_conv copies its tile rows per block before each GEMM of its forward
+# and of both gradients, and maxpool_3x3_p1's backward builds and scatters its
+# claim indices per block
 CHANNEL_BLOCK_BYTES = 256 << 10
 
 
@@ -151,6 +157,87 @@ def conv2d_standard(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 
                      (bias, lambda g: g.sum(axis=(0, 2, 3))))
 
 
+def _band_layout(k: int, stride: int, w_out: int) -> tuple[int, int, int]:
+    """``(tile, tiles, span)`` of the banded correlation that makes ``w_out`` output columns."""
+    tile = min(DEPTHWISE_TILE, w_out)
+    return tile, -(-w_out // tile), stride * (tile - 1) + k
+
+
+def _band_reach(k: int, stride: int, w_out: int) -> int:
+    """Padded input columns that :func:`_band_correlate` reads for ``w_out`` outputs, right margin included."""
+    if k == 1:
+        return stride * (w_out - 1) + 1
+    tile, tiles, _ = _band_layout(k, stride, w_out)
+    return stride * (tile * tiles - 1) + k
+
+
+def _tile_rows(xp: Array, k: int, stride: int, h_out: int, w_out: int) -> Array:
+    """Strided ``(b, m, h_out, tiles, k, span)`` view of the band's tile rows over a contiguous padded array.
+
+    Like every strided view of the band it is built by ``np.ndarray`` over
+    the array's buffer, which raises if the view would reach past its end.
+    """
+    b, m, _, _ = xp.shape
+    tile, tiles, span = _band_layout(k, stride, w_out)
+    s0, s1, s2, s3 = xp.strides
+    return np.ndarray((b, m, h_out, tiles, k, span), xp.dtype, buffer=xp,
+                      strides=(s0, s1, s2 * stride, s3 * stride * tile, s2, s3))
+
+
+def _block_channels(m: int, channel_bytes: int) -> int:
+    """Channels (or planes) per block whose temporaries take about ``CHANNEL_BLOCK_BYTES``, from 1 to ``m``."""
+    return min(m, max(1, CHANNEL_BLOCK_BYTES // channel_bytes))
+
+
+def _band_correlate(xp: Array, kernel: Array, stride: int, h_out: int, w_out: int) -> Array:
+    """Per-channel cross-correlation of a padded ``(b, m, ., .)`` array with ``kernel`` ``(m, k, k)``.
+
+    ``xp`` holds at least ``stride * (h_out - 1) + k`` rows and
+    ``_band_reach(k, stride, w_out)`` columns. For k = 1 the result is the
+    per-channel scale of the strided array. For k > 1 it is the banded GEMM
+    that :func:`depthwise_conv` describes, one ``np.matmul`` per channel block.
+    """
+    b, m, _, _ = xp.shape
+    k = kernel.shape[-1]
+    if k == 1:
+        return xp[:, :, : stride * h_out : stride, : stride * w_out : stride] * kernel
+    tile, tiles, span = _band_layout(k, stride, w_out)
+    rows = _tile_rows(xp, k, stride, h_out, w_out)
+    dtype = np.result_type(xp, kernel)
+    band = np.zeros((m, k, span, tile), dtype=dtype)
+    s0, s1, s2, s3 = band.strides
+    # band[c, i, stride * n + j, n] for every tap (i, j) and tile column n
+    np.ndarray((m, k, k, tile), dtype, buffer=band, strides=(s0, s1, s2, stride * s2 + s3))[...] = kernel[..., None]
+    band = band.reshape(m, k * span, tile)
+    wide = np.empty((b, m, h_out * tiles, tile), dtype=dtype)
+    step = _block_channels(m, b * h_out * tiles * k * span * xp.itemsize)
+    a = np.empty((b, step, h_out, tiles, k, span), dtype=xp.dtype)
+    for c in range(0, m, step):
+        block = a[:, : m - c]
+        np.copyto(block, rows[:, c : c + step])
+        np.matmul(block.reshape(b, -1, h_out * tiles, k * span), band[c : c + step], out=wide[:, c : c + step])
+    wide = wide.reshape(b, m, h_out, tiles * tile)
+    return wide if tiles * tile == w_out else np.ascontiguousarray(wide[..., :w_out])
+
+
+def _dilate(g: Array, stride: int, offset: int, height: int, width: int) -> Array:
+    """``g``'s cell (i, j) at ``(offset + stride * i, offset + stride * j)`` of a zeroed ``(b, m, height, width)``.
+
+    Cells that land outside the array are dropped. When the placement is the
+    identity, ``g`` itself comes back, made contiguous.
+    """
+    if stride == 1 and offset == 0 and g.shape[2:] == (height, width):
+        return np.ascontiguousarray(g)
+    first = -(-max(0, -offset) // stride)  # the first index placed at or after 0
+    start = offset + stride * first
+    rows = max(0, min(g.shape[2] - first, -(-(height - start) // stride)))
+    cols = max(0, min(g.shape[3] - first, -(-(width - start) // stride)))
+    out = np.zeros(g.shape[:2] + (height, width), dtype=g.dtype)
+    out[:, :, start : start + stride * rows : stride, start : start + stride * cols : stride] = \
+        g[:, :, first : first + rows, first : first + cols]
+    return out
+
+
 def depthwise_conv(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Per-channel cross-correlation, ``weights`` ``(m, k, k)``: output channel c depends only on input channel c.
 
@@ -172,12 +259,28 @@ def depthwise_conv(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 0
     For k = 1 there is no window and the forward is the per-channel scale of
     the strided input, ``x * w``.
 
-    The backward works per kernel tap on strided slices of the padded input:
-    the weight gradient is k*k per-channel dot products, and the input
-    gradient adds each tap's scaled output gradient through one temporary.
-    At k = 1, stride 1 and no padding the input gradient is ``g * w``; the
-    per-tap sum adds that into zeros, which only turns -0.0 into +0.0, and
-    ``Tensor.accumulate_grad`` does the same, so the accumulated bits agree.
+    The backward runs through the same band. The input gradient is the
+    forward's correlation, at stride 1, of the output gradient with the
+    kernel rotated 180 degrees: the gradient is dilated by ``stride`` and
+    padded by ``k - 1 - padding`` (cropped where that is negative) into one
+    zeroed array that also holds the band's right margin. Input rows and
+    columns that no window reaches read only zeros there. The weight gradient
+    is the band's adjoint: per channel block, one ``np.matmul`` of the output
+    gradient's tiles ``G_c`` (zero past ``w_out``) against the tile rows of
+    ``x``, padded again and copied channel-major, gives ``G_c^T A_c``, the
+    transposed gradient of ``B_c``, and ``dw[c, i, j]`` sums its diagonal
+    ``(n, i * span + stride * n + j)`` over n. Neither closure keeps the
+    forward's padded copy of ``x``. At k = 1 the input gradient is the
+    per-channel scale of the placed gradient (``g * w`` at stride 1 with no
+    padding, whose -0.0 ``Tensor.accumulate_grad`` turns into +0.0 as a sum
+    into zeros would) and the weight gradient is one per-channel dot product.
+
+    A non-finite output gradient meets the band's zeros the same way: the
+    input gradient is inf or NaN across the tile rows of ``dx`` whose band
+    reads the cell, with NumPy's ``matmul`` warning. The weight gradient of
+    that cell's channel is non-finite in every tap, as a per-tap sum would
+    make it (``inf * x`` for each input cell under the cell's window, NaN
+    where that cell is zero padding); other channels stay finite.
     """
     _require_rank4(x, "depthwise_conv")
     b, m, h, w = x.shape
@@ -186,51 +289,37 @@ def depthwise_conv(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 0
     h_out = _out_extent(h, padding, k, stride, "depthwise_conv")
     w_out = _out_extent(w, padding, k, stride, "depthwise_conv")
     instrument.tally(CONV_DEPTHWISE, b * m * h_out * w_out * k * k)
-
-    if k == 1:
-        xp = _pad_spatial(x.data, padding)
-        out = xp[:, :, ::stride, ::stride] * weights.data
-    else:
-        tile = min(DEPTHWISE_TILE, w_out)
-        tiles = -(-w_out // tile)
-        span = stride * (tile - 1) + k
-        # the last tile reads up to column stride * (tile * tiles - 1) + k - 1 of the padded input
-        xp = _pad_spatial(x.data, padding, right=max(0, stride * (tile * tiles - 1) + k - (w + 2 * padding)))
-        s0, s1, s2, s3 = xp.strides
-        rows = as_strided(xp, shape=(b, m, h_out, tiles, k, span),
-                          strides=(s0, s1, s2 * stride, s3 * stride * tile, s2, s3), writeable=False)
-        dtype = np.result_type(xp, weights.data)
-        band = np.zeros((m, k, span, tile), dtype=dtype)
-        for n in range(tile):
-            band[:, :, stride * n : stride * n + k, n] = weights.data
-        band = band.reshape(m, k * span, tile)
-        wide = np.empty((b, m, h_out * tiles, tile), dtype=dtype)
-        step = min(m, max(1, CHANNEL_BLOCK_BYTES // (b * h_out * tiles * k * span * xp.itemsize)))
-        a = np.empty((b, step, h_out, tiles, k, span), dtype=xp.dtype)
-        for c in range(0, m, step):
-            block = a[:, : m - c]
-            np.copyto(block, rows[:, c : c + step])
-            np.matmul(block.reshape(b, -1, h_out * tiles, k * span), band[c : c + step], out=wide[:, c : c + step])
-        wide = wide.reshape(b, m, h_out, tiles * tile)
-        out = wide if tiles * tile == w_out else np.ascontiguousarray(wide[..., :w_out])
+    right = max(0, _band_reach(k, stride, w_out) - (w + 2 * padding))
+    out = _band_correlate(_pad_spatial(x.data, padding, right=right), weights.data, stride, h_out, w_out)
 
     def dx(g: Array) -> Array:
-        if k == 1 and stride == 1 and padding == 0:
-            return g * weights.data
-        dxp = np.zeros((b, m, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
-        part = np.empty_like(g)
-        for i in range(k):
-            for j in range(k):
-                np.multiply(g, weights.data[None, :, i, j, None, None], out=part)
-                dxp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += part
-        return dxp[:, :, padding : padding + h, padding : padding + w]
+        # the band reads h + k - 1 rows and _band_reach(k, 1, w) columns of the dilated, padded gradient
+        placed = _dilate(g, stride, k - 1 - padding, h + k - 1, _band_reach(k, 1, w))
+        return _band_correlate(placed, weights.data[:, ::-1, ::-1], 1, h, w)
 
     def dw(g: Array) -> Array:
         grad = np.empty(weights.shape, dtype=g.dtype)
-        for i in range(k):
-            for j in range(k):
-                tap = xp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
-                grad[:, i, j] = np.einsum("bchw,bchw->c", tap, g)
+        xp = _pad_spatial(x.data, padding, right=right)
+        if k == 1:
+            tap = xp[:, :, : stride * h_out : stride, : stride * w_out : stride]
+            grad[:, 0, 0] = np.einsum("bchw,bchw->c", tap, g)
+            return grad
+        tile, tiles, span = _band_layout(k, stride, w_out)
+        rows = _tile_rows(xp, k, stride, h_out, w_out).transpose(1, 0, 2, 3, 4, 5)
+        step = _block_channels(m, b * h_out * tiles * k * span * xp.itemsize)
+        a = np.empty((step, b, h_out, tiles, k, span), dtype=xp.dtype)
+        gt = np.zeros((step, b, h_out, tiles * tile), dtype=g.dtype)  # columns past w_out stay zero
+        adjoint = np.empty((m, tile, k * span), dtype=np.result_type(xp, g))  # the transposed B_c gradient
+        for c in range(0, m, step):
+            n = min(step, m - c)
+            np.copyto(a[:n], rows[c : c + n])
+            gt[:n, ..., :w_out] = g[:, c : c + n].transpose(1, 0, 2, 3)
+            np.matmul(gt[:n].reshape(n, -1, tile).transpose(0, 2, 1), a[:n].reshape(n, -1, k * span),
+                      out=adjoint[c : c + n])
+        a0, a1, a2 = adjoint.strides
+        # adjoint[c, n, i * span + stride * n + j] for every tap (i, j) and tile column n
+        taps = np.ndarray((m, k, k, tile), adjoint.dtype, buffer=adjoint, strides=(a0, span * a2, a2, a1 + stride * a2))
+        np.sum(taps, axis=-1, out=grad)
         return grad
 
     return op_result(out, "depthwise_conv", (x, dx), (weights, dw))
@@ -342,7 +431,7 @@ def maxpool_3x3_p1(x: Tensor) -> Tensor:
         planes, hp, wp = b * c, h + 2, w + 2
         xp3, rows3 = xp.reshape(planes, hp, wp), rows.reshape(planes, hp, w)
         out3, g3 = out.reshape(planes, h, w), g.reshape(planes, h, w)
-        step = min(planes, max(1, CHANNEL_BLOCK_BYTES // (h * w * np.dtype(np.intp).itemsize)))
+        step = _block_channels(planes, h * w * np.dtype(np.intp).itemsize)
         # a claimed cell lies at most 2 * wp + 2 cells after its window's top-left corner
         small = np.min_scalar_type(2 * wp + 2)
         corner = np.arange(step)[:, None, None] * (hp * wp) + np.arange(h)[:, None] * wp + np.arange(w)

@@ -108,6 +108,39 @@ def shifted_depthwise(x, w, stride, padding):
     return out
 
 
+def shifted_depthwise_grads(x, w, g, stride, padding):
+    """Reference: the adjoint of ``shifted_depthwise``, tap by tap, for output gradient ``g``.
+
+    The input gradient adds each tap's per-channel scaled ``g`` into that
+    tap's strided slice of the padded input; the weight gradient is each
+    slice's per-channel dot product with ``g``.
+    """
+    k = w.shape[-1]
+    h, width = x.shape[2:]
+    h_out, w_out = g.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    dxp, dw = np.zeros(xp.shape), np.zeros(w.shape)
+    for i in range(k):
+        for j in range(k):
+            tap = (slice(None), slice(None), slice(i, i + stride * h_out, stride), slice(j, j + stride * w_out, stride))
+            dxp[tap] += g * w[None, :, i, j, None, None]
+            dw[:, i, j] = (xp[tap] * g).sum(axis=(0, 2, 3))
+    return dxp[:, :, padding : padding + h, padding : padding + width], dw
+
+
+def depthwise_grads(x, w, g, stride, padding):
+    """``depthwise_conv``'s input and weight gradients for output gradient ``g``."""
+    xt, wt = parameter(x), parameter(w)
+    ops.depthwise_conv(xt, wt, stride, padding).backward(g)
+    return xt.grad, wt.grad
+
+
+def assert_close_to_reference(grads, refs):
+    for grad, ref in zip(grads, refs):
+        assert grad.shape == ref.shape
+        assert np.max(np.abs(grad - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def band_channel_bytes(x, out, k, stride):
     """Bytes of one channel's tile-row copy in the banded forward that maps ``x`` to ``out``."""
     b, _, h_out, w_out = out.shape
@@ -133,6 +166,44 @@ def test_depthwise_window_blocks_match_shifted_reference(monkeypatch, channels_p
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("channels_per_block", [3, 1, 0.5])
+@pytest.mark.parametrize("k,stride,padding",
+                         [(3, 1, 1), (3, 2, 1), (3, 1, 0), (3, 2, 0), (1, 1, 0), (1, 2, 1), (3, 1, 2)])
+def test_depthwise_gradient_blocks_match_shifted_reference(monkeypatch, channels_per_block, k, stride, padding):
+    rng = np.random.default_rng(31)
+    # even extents: at k1 s2 p1 the last input row and column take the last output, and at k3 s2 p0 no output
+    x, w = rng.normal(size=(3, 7, 8, 10)), rng.normal(size=(7, k, k))
+    out = ops.depthwise_conv(t(x), t(w), stride, padding).data
+    g = rng.normal(size=out.shape)
+    single = depthwise_grads(x, w, g, stride, padding)
+    # the budget counts the forward's tile-row copy; at 0.5 both closures' blocks hold less than one channel
+    monkeypatch.setattr(ops, "CHANNEL_BLOCK_BYTES", int(channels_per_block * band_channel_bytes(x, out, k, stride)))
+    blocked = depthwise_grads(x, w, g, stride, padding)
+    for grad, ref in zip(blocked, single):
+        assert grad.tobytes() == ref.tobytes()
+    assert_close_to_reference(blocked, shifted_depthwise_grads(x, w, g, stride, padding))
+
+
+# tiny-train's depthwise layers: mv1-tiny at width 8 on 8x8 inputs, batch 32, k3 p1
+@pytest.mark.parametrize("channels,size,stride", [(8, 8, 2), (16, 4, 1), (16, 4, 2), (32, 2, 1)])
+def test_depthwise_gradients_at_tiny_train_shapes_match_reference(channels, size, stride):
+    rng = np.random.default_rng(32)
+    x, w = rng.normal(size=(32, channels, size, size)), rng.normal(size=(channels, 3, 3))
+    g = rng.normal(size=ops.depthwise_conv(t(x), t(w), stride, 1).shape)
+    assert_close_to_reference(depthwise_grads(x, w, g, stride, 1), shifted_depthwise_grads(x, w, g, stride, 1))
+
+
+def test_depthwise_gradients_where_the_last_padded_row_gets_no_window():
+    # 6 rows at k3 s2 p0 give windows over rows 0-4 only, 16 columns over columns 0-14 only
+    rng = np.random.default_rng(34)
+    arrays = [rng.standard_normal((1, 2, 6, 16)), rng.standard_normal((2, 3, 3))]
+    assert gradcheck.check_fn(lambda xt, wt: ops.depthwise_conv(xt, wt, 2, 0), arrays, rng) < gradcheck.PER_OP_TOL
+    g = rng.normal(size=(1, 2, 2, 7))
+    dx, dw = depthwise_grads(*arrays, g, 2, 0)
+    assert not dx[:, :, 5].any() and not dx[..., 15].any()
+    assert_close_to_reference((dx, dw), shifted_depthwise_grads(*arrays, g, 2, 0))
+
+
 def test_depthwise_window_copy_above_block_budget_matches_reference():
     rng = np.random.default_rng(26)
     x, w = rng.normal(size=(2, 24, 56, 56)), rng.normal(size=(24, 3, 3))
@@ -145,9 +216,11 @@ def test_depthwise_window_copy_above_block_budget_matches_reference():
 
 # (width, k, stride, padding) whose output is wider than one tile and, but
 # for two, not a multiple of it: w_out 15, 20, 29; odd widths at stride 2;
-# k=3 without padding; the k=1 scale at stride 2 with padding
+# k=3 without padding; the k=1 scale at stride 2 with padding; k=3 with
+# padding 2, whose output gradient the input gradient's band reads unshifted
+# but with a right margin
 BEYOND_ONE_TILE = [(15, 3, 1, 1), (20, 3, 1, 1), (29, 3, 1, 1), (29, 3, 2, 1), (31, 3, 2, 1), (33, 3, 2, 0),
-                   (17, 3, 1, 0), (30, 3, 1, 0), (29, 1, 2, 1)]
+                   (17, 3, 1, 0), (30, 3, 1, 0), (29, 1, 2, 1), (15, 3, 1, 2)]
 
 
 @pytest.mark.parametrize("width,k,stride,padding", BEYOND_ONE_TILE)
@@ -159,8 +232,9 @@ def test_depthwise_widths_beyond_one_tile_match_reference(width, k, stride, padd
     ref = shifted_depthwise(x.data, w.data, stride, padding)
     assert out.shape == ref.shape and ref.shape[3] > ops.DEPTHWISE_TILE
     assert np.max(np.abs(out.data - ref)) <= 1e-12 * np.max(np.abs(ref))
-    out.backward(rng.normal(size=out.shape))
-    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+    g = rng.normal(size=out.shape)
+    out.backward(g)
+    assert_close_to_reference((x.grad, w.grad), shifted_depthwise_grads(x.data, w.data, g, stride, padding))
 
 
 @pytest.mark.parametrize("width,stride", [(17, 1), (31, 2)])
@@ -205,6 +279,30 @@ def test_depthwise_non_finite_input_spreads_across_its_tile_row():
     assert np.isposinf(out[window]).all()
     assert np.isnan(out[tile_rows & ~window]).all()
     assert np.isfinite(out[~tile_rows]).all()
+
+
+def test_depthwise_non_finite_gradient_spreads_across_its_tile_row():
+    # the input gradient is the band run on the padded output gradient, so
+    # an inf there meets the band's zeros as an inf input does in the forward
+    rng = np.random.default_rng(35)
+    x, w = parameter(rng.normal(size=(1, 1, 5, 30))), parameter(np.ones((1, 3, 3)))
+    out = ops.depthwise_conv(x, w, 1, 1)
+    g = rng.normal(size=out.shape)
+    g[0, 0, 0, 3] = np.inf
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in matmul"):
+        out.backward(g)
+    dx = x.grad[0, 0]
+    window, tile_rows = np.zeros(dx.shape, dtype=bool), np.zeros(dx.shape, dtype=bool)
+    window[0:2, 2:5] = True  # output (0, 3) reads input rows 0-1 (row -1 is padding) and columns 2-4
+    tile_rows[0:2, : ops.DEPTHWISE_TILE] = True  # the padded gradient's column 4 lies in tile 0's rows
+    assert np.isposinf(dx[window]).all()
+    assert np.isnan(dx[tile_rows & ~window]).all()
+    assert np.isfinite(dx[~tile_rows]).all()
+    # the weight gradient is what the per-tap sums give: inf * x in each tap, NaN in the taps over padding
+    with np.errstate(invalid="ignore"):
+        ref = shifted_depthwise_grads(x.data, w.data, g, 1, 1)[1]
+    assert np.isnan(w.grad[0, 0]).all() and np.isinf(w.grad[0, 1:]).all()
+    np.testing.assert_array_equal(w.grad, ref)
 
 
 def test_depthwise_rejects_channel_change():
