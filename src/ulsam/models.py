@@ -366,6 +366,8 @@ _ACTS = {"relu": ops.relu, "relu6": ops.relu6}
 
 
 def _layer_forward(graph: ModelGraph, spec: LayerSpec, x: Tensor, train: bool) -> Tensor:
+    # each op's result is rebound to ``out`` before the next op runs, so an
+    # inference forward (no tape) frees every intermediate once it is consumed
     p = _prefix(spec)
     act = _ACTS[spec.act]
     w = graph.params
@@ -373,20 +375,25 @@ def _layer_forward(graph: ModelGraph, spec: LayerSpec, x: Tensor, train: bool) -
         bias = w[f"{p}.b"] if spec.bias else None
         out = ops.conv2d_standard(x, w[f"{p}.w"], spec.stride, spec.kernel // 2, bias)
         if spec.norm_act:
-            out = act(_bn(graph, f"{p}.bn", out, train))
+            out = _bn(graph, f"{p}.bn", out, train)
+            out = act(out)
         return out
     if spec.kind == KIND_DWS:
         out = ops.depthwise_conv(x, w[f"{p}.dw.w"], spec.stride, 1)
-        out = act(_bn(graph, f"{p}.bn1", out, train))
+        out = _bn(graph, f"{p}.bn1", out, train)
+        out = act(out)
         out = ops.pointwise_conv(out, w[f"{p}.pw.w"])
-        return act(_bn(graph, f"{p}.bn2", out, train))
+        out = _bn(graph, f"{p}.bn2", out, train)
+        return act(out)
     if spec.kind == KIND_BOTTLENECK:
         out = x
         if spec.expansion != 1:
             out = ops.pointwise_conv(out, w[f"{p}.exp.w"])
-            out = act(_bn(graph, f"{p}.bn1", out, train))
+            out = _bn(graph, f"{p}.bn1", out, train)
+            out = act(out)
         out = ops.depthwise_conv(out, w[f"{p}.dw.w"], spec.stride, 1)
-        out = act(_bn(graph, f"{p}.bn2", out, train))
+        out = _bn(graph, f"{p}.bn2", out, train)
+        out = act(out)
         out = ops.pointwise_conv(out, w[f"{p}.proj.w"])
         out = _bn(graph, f"{p}.bn3", out, train)
         return x + out if spec.has_skip else out

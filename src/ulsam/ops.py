@@ -14,7 +14,11 @@ A forward allocates little beyond its output, because an inference pass
 one per-channel scale and shift, ``relu``/``relu6`` build their masks in the
 backward from the saved input, and ``depthwise_conv`` runs as a banded GEMM
 per channel whose input rows are copied in channel blocks of about
-``CHANNEL_BLOCK_BYTES``.
+``CHANNEL_BLOCK_BYTES``. ``conv2d_standard`` copies its im2col columns
+channel-major in k² strided slices, so one GEMM per item writes NCHW
+directly. Training batch-norm centres ``x`` once and scales that copy in
+place into ``x_hat``; its per-channel sums of squares and of ``g * x_hat``
+form no product array.
 
 A backward also costs about what its gradient needs. ``depthwise_conv``'s
 runs through the same band as its forward: the input gradient is the band
@@ -22,12 +26,13 @@ on the dilated, padded output gradient with the kernel rotated 180 degrees,
 and the weight gradient is the band's adjoint, one GEMM per channel block
 and a sum over each band's diagonals. Neither keeps the forward's padded
 input on the tape; at k=1, stride 1 and no padding the input gradient is
-the per-channel scale ``g * w``. ``maxpool_3x3_p1`` finds each window's
-first-claimed cell from the forward's row maxima, as small column and row
-indices, and adds the output gradient into the claimed cells with one
-``np.add.at`` per channel block of about ``CHANNEL_BLOCK_BYTES``: no
-per-offset masks, and an inf or NaN in the output gradient reaches only the
-cell its window claims.
+the per-channel scale ``g * w``. Training batch-norm's backward takes its
+two per-channel sums once and builds the input gradient from them.
+``maxpool_3x3_p1`` finds each window's first-claimed cell from the forward's
+row maxima, as small column and row indices, and adds the output gradient
+into the claimed cells with one ``np.add.at`` per channel block of about
+``CHANNEL_BLOCK_BYTES``: no per-offset masks, and an inf or NaN in the output
+gradient reaches only the cell its window claims.
 
 Layout convention: rank-4 activations ``(batch, channels, height, width)``.
 Convolution is cross-correlation (no kernel flip). Max-pool padding uses -inf
@@ -120,7 +125,16 @@ def _check_conv(who: str, x: Tensor, weights: Tensor, expect: tuple, stride: int
 
 def conv2d_standard(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 0,
                     bias: Optional[Tensor] = None) -> Tensor:
-    """Dense cross-correlation over all input channels; ``weights`` is ``(n, m, k, k)``."""
+    """Dense cross-correlation over all input channels; ``weights`` is ``(n, m, k, k)``.
+
+    The im2col columns are channel-major, ``(b, m * k * k, h_out * w_out)``:
+    row ``(c, i, j)`` of item b holds tap (i, j) of channel c at every output
+    position, filled by k² strided slice copies of the padded input. One
+    ``np.matmul`` of the ``(n, m * k * k)`` weight matrix with them writes the
+    output in NCHW order, and the bias is added in place. The weight gradient
+    is ``np.matmul(g, cols^T)`` summed over the batch; the input gradient adds
+    each tap's share of the output gradient into a zeroed padded array.
+    """
     _require_rank4(x, "conv2d_standard")
     b, m, h, w = x.shape
     expect = weights.shape[:1] + (m,) + weights.shape[-1:] * 2  # (n, m, k, k)
@@ -130,15 +144,16 @@ def conv2d_standard(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 
     w_out = _out_extent(w, padding, k, stride, "conv2d_standard")
 
     xp = _pad_spatial(x.data, padding)
-    win = _windows(xp, k, stride, h_out, w_out)
-    # (b*hw, m*k*k) @ (m*k*k, n): one GEMM per forward
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(b * h_out * w_out, m * k * k)
-    w_mat = weights.data.reshape(n, m * k * k)
-    out = cols @ w_mat.T
+    cols = np.empty((b, m, k, k, h_out, w_out), dtype=xp.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = xp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
+    cols = cols.reshape(b, m * k * k, h_out * w_out)
+    # (n, m*k*k) @ (b, m*k*k, hw): one GEMM per item, straight into NCHW
+    out = np.matmul(weights.data.reshape(n, m * k * k), cols)
     instrument.tally(CONV_STANDARD, b * n * h_out * w_out * m * k * k)
     if bias is not None:
-        out = out + bias.data[None, :]
-    out = out.reshape(b, h_out, w_out, n).transpose(0, 3, 1, 2)
+        out += bias.data[:, None]
 
     def dx(g: Array) -> Array:
         dxp = np.zeros((b, m, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
@@ -150,10 +165,12 @@ def conv2d_standard(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 
         return dxp[:, :, padding : padding + h, padding : padding + w] if padding else dxp
 
     def dw(g: Array) -> Array:
-        g_mat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(b * h_out * w_out, n)
-        return (g_mat.T @ cols).reshape(n, m, k, k)
+        if h_out * w_out == 1:
+            # NumPy's matmul runs a per-item outer product outside BLAS, so the batch becomes the GEMM's inner extent
+            return (g.reshape(b, n).T @ cols.reshape(b, -1)).reshape(weights.shape)
+        return np.matmul(g.reshape(b, n, -1), cols.transpose(0, 2, 1)).sum(axis=0).reshape(weights.shape)
 
-    return op_result(np.ascontiguousarray(out), "conv2d", (x, dx), (weights, dw),
+    return op_result(out.reshape(b, n, h_out, w_out), "conv2d", (x, dx), (weights, dw),
                      (bias, lambda g: g.sum(axis=(0, 2, 3))))
 
 
@@ -604,55 +621,87 @@ def relu6(x: Tensor) -> Tensor:
     return op_result(out, "relu6", (x, lambda g: g * ((x.data > 0) & (x.data < 6)).astype(g.dtype)))
 
 
+def _channel_sum(a: Array) -> Array:
+    """Per-channel sum over (batch, height, width): over the batch first, then pairwise over each channel's plane."""
+    return a.sum(axis=0).reshape(a.shape[1], -1).sum(axis=1)
+
+
+def _channel_dot(a: Array, b: Array) -> Array:
+    """Per-channel sum of ``a * b``, summed as :func:`_channel_sum` sums, without an array of the products."""
+    n, c = a.shape[:2]
+    return np.einsum("bcl,bcl->cl", a.reshape(n, c, -1), b.reshape(n, c, -1)).sum(axis=1)
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Array, running_var: Array,
                train: bool) -> Tensor:
     """Per-channel batch normalization over (batch, height, width).
 
     Training mode uses biased batch statistics and folds them into the running
-    buffers as ``running = BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch``;
-    inference mode normalizes with the running buffers only, folded into
+    buffers as ``running = BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch``.
+    Its forward takes one per-channel sum for the mean and centres ``x`` once;
+    the variance is the per-channel sum of squares of that centred copy,
+    which is then scaled in place into ``x_hat``, so the output is
+    ``x_hat * gamma + beta``. Its backward takes two per-channel sums of the
+    output gradient g, ``dbeta = sum(g)`` and ``dgamma = sum(g * x_hat)``, and
+    the input gradient reuses them: ``scale * (g - x_hat * dgamma / n -
+    dbeta / n)`` with ``scale = gamma * inv_std`` and n the count per channel,
+    in four in-place passes over its one output.
+
+    Inference mode normalizes with the running buffers only, folded into
     ``scale = gamma * inv_std`` and ``shift = beta - mean * scale`` so the
-    output is ``x * scale + shift``: two passes over ``x``. The normalized
-    input ``x_hat`` is kept only in training mode; in inference mode the gamma
-    gradient builds it when a backward asks for it.
+    output is ``x * scale + shift``: two passes over ``x``. It keeps no
+    ``x_hat``; the gamma gradient builds it when a backward asks for it.
     """
     _require_rank4(x, "batch_norm")
     b, c, h, w = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ConfigurationError(f"batch_norm: gamma/beta must have shape ({c},)")
-    if train:
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
-        running_mean *= BN_MOMENTUM
-        running_mean += (1.0 - BN_MOMENTUM) * mean
-        running_var *= BN_MOMENTUM
-        running_var += (1.0 - BN_MOMENTUM) * var
-    else:
+    if not train:
         mean = running_mean.astype(x.dtype)
-        var = running_var.astype(x.dtype)
-
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    scale = (gamma.data * inv_std)[None, :, None, None]
-
-    def normalize() -> Array:
-        return (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-
-    if train:
-        x_hat = normalize()
-        out = gamma.data[None, :, None, None] * x_hat + beta.data[None, :, None, None]
-    else:
-        x_hat = None
+        inv_std = 1.0 / np.sqrt(running_var.astype(x.dtype) + BN_EPS)
+        scale = (gamma.data * inv_std)[None, :, None, None]
         out = x.data * scale
         out += beta.data[None, :, None, None] - mean[None, :, None, None] * scale
 
+        def dgamma_infer(g: Array) -> Array:
+            return (g * ((x.data - mean[None, :, None, None]) * inv_std[None, :, None, None])).sum(axis=(0, 2, 3))
+
+        return op_result(out, "batch_norm", (x, lambda g: scale * g), (gamma, dgamma_infer),
+                         (beta, lambda g: g.sum(axis=(0, 2, 3))))
+
+    n = b * h * w
+    mean = _channel_sum(x.data) / n
+    x_hat = x.data - mean[:, None, None]
+    var = _channel_dot(x_hat, x_hat) / n
+    running_mean *= BN_MOMENTUM
+    running_mean += (1.0 - BN_MOMENTUM) * mean
+    running_var *= BN_MOMENTUM
+    running_var += (1.0 - BN_MOMENTUM) * var
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    x_hat *= inv_std[:, None, None]
+    out = x_hat * gamma.data[:, None, None]
+    out += beta.data[:, None, None]
+    scale = (gamma.data * inv_std)[:, None, None]
+    # op_result calls dx, dgamma and dbeta in that order within one backward,
+    # and dx (when x is taped) takes both per-channel sums and hands them on
+    # here. dgamma and dbeta pop them, so each reads only sums made from the
+    # same call's g: a later backward may pass the same g array with new
+    # contents, so nothing may be looked up by that array
+    handed: dict = {}
+
     def dx(g: Array) -> Array:
-        if not train:
-            return scale * g
-        g_mean = g.mean(axis=(0, 2, 3), keepdims=True)
-        gx_mean = (g * x_hat).mean(axis=(0, 2, 3), keepdims=True)
-        return scale * (g - g_mean - x_hat * gx_mean)
+        dgamma = handed["gamma"] = _channel_dot(g, x_hat)
+        dbeta = handed["beta"] = _channel_sum(g)
+        grad = np.multiply(x_hat, (dgamma / n)[:, None, None])
+        grad += (dbeta / n)[:, None, None]
+        np.subtract(g, grad, out=grad)
+        grad *= scale
+        return grad
 
     def dgamma(g: Array) -> Array:
-        return (g * (normalize() if x_hat is None else x_hat)).sum(axis=(0, 2, 3))
+        return handed.pop("gamma") if "gamma" in handed else _channel_dot(g, x_hat)
 
-    return op_result(out, "batch_norm", (x, dx), (gamma, dgamma), (beta, lambda g: g.sum(axis=(0, 2, 3))))
+    def dbeta(g: Array) -> Array:
+        return handed.pop("beta") if "beta" in handed else _channel_sum(g)
+
+    return op_result(out, "batch_norm", (x, dx), (gamma, dgamma), (beta, dbeta))

@@ -1,5 +1,7 @@
 """Graph construction, position directives, and whole-model execution."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from ulsam.models import (
     spatial_trace,
     validate_graph,
 )
-from ulsam.tensor import parameter
+from ulsam.tensor import Tensor, no_tape, parameter
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +268,27 @@ def test_tape_recorded_again_after_inference_forward_raised(monkeypatch):
     with pytest.raises(RuntimeError, match="layer failed"):
         models.forward(build_mv1_tiny(4), np.zeros((1, 3, 8, 8)), train=False)
     assert ops.relu(parameter(np.ones(2)))._parents
+
+
+def test_inference_layer_frees_each_intermediate_once_consumed():
+    # MV1 layer 2 (dws 32 -> 64 at 112x112): with each op's result rebound as
+    # soon as the next op has read it, at most two 64-channel maps are alive
+    # at once (the pointwise output and its batch-norm, then that and the
+    # activation), not three
+    g = build_mv1(1.0, 10, dtype=np.float32)
+    spec = next(s for s in g.layers if s.index == "2")
+    assert (spec.kind, spec.in_channels, spec.out_channels, spec.stride) == ("dws", 32, 64, 1)
+    x = Tensor(np.random.default_rng(6).normal(size=(1, 32, 112, 112)).astype(np.float32))
+    with no_tape():
+        models._layer_forward(g, spec, x, False)
+        tracemalloc.start()
+        try:
+            out = models._layer_forward(g, spec, x, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert out.shape == (1, 64, 112, 112)
+    assert peak <= 2.25 * out.data.nbytes, f"layer 2 peaked at {peak / out.data.nbytes:.2f}x its output"
 
 
 def test_end_to_end_gradients_match_finite_differences():

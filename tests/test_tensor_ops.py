@@ -65,6 +65,86 @@ def test_conv2d_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
+def _conv2d_row_major_im2col(x, w, stride, padding, bias=None):
+    """The earlier conv2d_standard forward: (b*hw, m*k*k) window rows, one GEMM with the weights transposed."""
+    b, m, h, wd = x.shape
+    n, _, k, _ = w.shape
+    h_out, w_out = (h + 2 * padding - k) // stride + 1, (wd + 2 * padding - k) // stride + 1
+    win = ops._windows(ops._pad_spatial(x, padding), k, stride, h_out, w_out)
+    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(b * h_out * w_out, m * k * k)
+    out = cols @ w.reshape(n, m * k * k).T
+    if bias is not None:
+        out = out + bias[None, :]
+    return np.ascontiguousarray(out.reshape(b, h_out, w_out, n).transpose(0, 3, 1, 2))
+
+
+def _conv2d_float64(x, w, stride, padding):
+    """Float64 cross-correlation, one tap at a time."""
+    n, _, k, _ = w.shape
+    xp = ops._pad_spatial(x.astype(np.float64), padding)
+    h_out, w_out = (xp.shape[2] - k) // stride + 1, (xp.shape[3] - k) // stride + 1
+    out = 0.0
+    for i in range(k):
+        for j in range(k):
+            tap = xp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
+            out = out + np.einsum("bmhw,nm->bnhw", tap, w[:, :, i, j].astype(np.float64))
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("bias", [False, True])
+def test_conv2d_forward_is_bitwise_the_row_major_im2col(k, stride, padding, bias):
+    # three input channels, as in every model's first layer: the GEMM's inner
+    # extent (m*k*k <= 27) is reduced in the same order in either orientation
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(2, 3, 9, 9)).astype(np.float32)
+    w = rng.normal(size=(8, 3, k, k)).astype(np.float32)
+    b = rng.normal(size=8).astype(np.float32) if bias else None
+    out = ops.conv2d_standard(Tensor(x), Tensor(w), stride, padding, None if b is None else Tensor(b))
+    expect = _conv2d_row_major_im2col(x, w, stride, padding, b)
+    assert out.data.flags.c_contiguous and out.dtype == np.float32
+    np.testing.assert_array_equal(out.data, expect)
+
+
+@pytest.mark.parametrize("shape,n", [((2, 5, 7, 7), 4), ((4, 1280, 1, 1), 1000)])
+def test_conv2d_forward_matches_row_major_im2col_to_rounding(shape, n):
+    # here the two orientations may reduce in different orders (at 1x1
+    # output NumPy runs a matrix-vector product per item), so both are held
+    # to the same float64 reference
+    rng = np.random.default_rng(32)
+    x = rng.normal(size=shape).astype(np.float32)
+    w = rng.normal(size=(n, shape[1], 1, 1)).astype(np.float32)
+    b = rng.normal(size=n).astype(np.float32)
+    out = ops.conv2d_standard(Tensor(x), Tensor(w), 1, 0, Tensor(b)).data
+    expect = _conv2d_float64(x, w, 1, 0) + b[None, :, None, None]
+    scale = np.abs(expect).max()
+    old_err = np.abs(_conv2d_row_major_im2col(x, w, 1, 0, b) - expect).max() / scale
+    assert np.abs(out - expect).max() / scale <= max(4 * old_err, 1e-6)
+
+
+@pytest.mark.parametrize("shape,n,k,stride,padding", [
+    ((2, 3, 9, 9), 8, 3, 1, 1), ((2, 3, 9, 9), 8, 3, 2, 1), ((2, 5, 7, 7), 4, 3, 2, 0),
+    ((3, 4, 6, 6), 5, 1, 1, 0), ((3, 4, 6, 6), 5, 1, 2, 1), ((4, 16, 1, 1), 10, 1, 1, 0),
+])
+def test_conv2d_weight_gradient_matches_float64_reference(shape, n, k, stride, padding):
+    rng = np.random.default_rng(33)
+    x = rng.normal(size=shape)
+    w = parameter(rng.normal(size=(n, shape[1], k, k)))
+    out = ops.conv2d_standard(Tensor(x), w, stride, padding)
+    g = rng.normal(size=out.shape)
+    out.backward(g)
+    xp = ops._pad_spatial(x, padding)
+    h_out, w_out = out.shape[2:]
+    expect = np.empty(w.shape)
+    for i in range(k):
+        for j in range(k):
+            tap = xp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
+            expect[:, :, i, j] = np.einsum("bnhw,bmhw->nm", g, tap)
+    assert np.abs(w.grad - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
 # ---------------------------------------------------------------------------
 # depthwise / pointwise
 # ---------------------------------------------------------------------------
@@ -725,6 +805,89 @@ def test_batch_norm_infer_uses_running_stats_only():
     out = ops.batch_norm(Tensor(x), gamma, beta, mean.copy(), var.copy(), train=False)
     expect = 2.0 * (x - mean[None, :, None, None]) / np.sqrt(var[None, :, None, None] + 1e-5) + 1.0
     np.testing.assert_allclose(out.data, expect, rtol=1e-12)
+
+
+def _batch_norm_train(dtype, x, g, gamma, beta, running):
+    """Outputs, gradients and updated running buffers of one training batch-norm at ``dtype``."""
+    xt, gt, bt = (parameter(a.astype(dtype)) for a in (x, gamma, beta))
+    mean, var = (r.copy() for r in running)
+    out = ops.batch_norm(xt, gt, bt, mean, var, train=True)
+    out.backward(g.astype(dtype))
+    return {"out": out.data, "dx": xt.grad, "dgamma": gt.grad, "dbeta": bt.grad, "mean": mean, "var": var}
+
+
+def test_batch_norm_train_float32_tracks_float64():
+    rng = np.random.default_rng(34)
+    shape = (4, 32, 56, 56)
+    x, g = rng.normal(1.5, 3.0, size=shape), rng.normal(size=shape)
+    args = (x, g, rng.uniform(0.5, 2.0, 32), rng.normal(size=32), (rng.normal(size=32), rng.uniform(0.5, 2.0, 32)))
+    ref, got = _batch_norm_train(np.float64, *args), _batch_norm_train(np.float32, *args)
+    for name, expect in ref.items():
+        assert got[name].dtype == (np.float64 if name in ("mean", "var") else np.float32), name
+        err = np.abs(got[name] - expect).max() / np.abs(expect).max()
+        assert err <= 1e-6, f"{name}: float32 is {err:.3g} of the largest float64 value away"
+
+
+def test_batch_norm_second_backward_matches_fresh_outputs_bitwise():
+    # a second backward hands the op the same gradient array with new
+    # contents (g1 + g2), so no per-channel sum may survive the first call
+    rng = np.random.default_rng(35)
+    x, g1, g2 = (rng.normal(size=(4, 3, 5, 5)) for _ in range(3))
+
+    def inputs():
+        return parameter(x), parameter(rng.uniform(0.5, 2.0, 3)), parameter(rng.normal(size=3))
+
+    state = rng.bit_generator.state
+    xt, gt, bt = inputs()
+    out = ops.batch_norm(xt, gt, bt, np.zeros(3), np.ones(3), train=True)
+    out.backward(g1)
+    out.backward(g2)
+    rng.bit_generator.state = state
+    fresh = inputs()
+    for g in (g1, g1 + g2):
+        ops.batch_norm(*fresh, np.zeros(3), np.ones(3), train=True).backward(g)
+    for a, b in zip((xt, gt, bt), fresh):
+        np.testing.assert_array_equal(a.grad, b.grad)
+
+
+def test_batch_norm_affine_gradients_do_not_depend_on_taping_x():
+    rng = np.random.default_rng(36)
+    x, g = rng.normal(size=(3, 4, 6, 6)), rng.normal(size=(3, 4, 6, 6))
+    gamma, beta = rng.uniform(0.5, 2.0, 4), rng.normal(size=4)
+    grads = []
+    for xt in (Tensor(x), parameter(x)):
+        gt, bt = parameter(gamma), parameter(beta)
+        ops.batch_norm(xt, gt, bt, np.zeros(4), np.ones(4), train=True).backward(g)
+        grads.append((gt.grad, bt.grad))
+    for plain, taped in zip(*grads):
+        np.testing.assert_array_equal(plain, taped)
+
+
+class _RawGradient(Tensor):
+    """An input that keeps the gradient its op hands it as is, without adding it into ``grad``."""
+
+    __slots__ = ("raw",)
+
+    def accumulate_grad(self, g):
+        self.raw = g
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", ["relu", "relu6"])
+def test_relu_gradients_are_g_times_the_float_mask_bitwise(name, dtype):
+    # inf and NaN in g stay NaN where the mask is 0 (inf * 0), and -0.0
+    # stays -0.0, as a select or a copy into zeros would not keep them
+    x = np.array([-1.0, 0.0, 0.5, 5.0, 6.0, 7.0], dtype=dtype)
+    g = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, -3.5], dtype=dtype)
+    x = np.stack([x, x[::-1], np.roll(x, 2)]).reshape(1, 3, 2, 3)
+    g = np.stack([g, np.roll(g, 1), np.roll(g, 3)]).reshape(1, 3, 2, 3)
+    mask = x > 0 if name == "relu" else (x > 0) & (x < 6)
+    xt = _RawGradient(x, requires_grad=True)
+    with np.errstate(invalid="ignore"):  # inf * 0
+        getattr(ops, name)(xt)._backward(g)
+        expect = g * mask.astype(g.dtype)
+    assert xt.raw.dtype == dtype
+    np.testing.assert_array_equal(xt.raw.view(f"u{g.itemsize}"), expect.view(f"u{g.itemsize}"))
 
 
 @pytest.mark.parametrize("name", ["relu", "relu6", "batch_norm"])
