@@ -165,9 +165,6 @@ def conv2d_standard(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 
         return dxp[:, :, padding : padding + h, padding : padding + w] if padding else dxp
 
     def dw(g: Array) -> Array:
-        if h_out * w_out == 1:
-            # NumPy's matmul runs a per-item outer product outside BLAS, so the batch becomes the GEMM's inner extent
-            return (g.reshape(b, n).T @ cols.reshape(b, -1)).reshape(weights.shape)
         return np.matmul(g.reshape(b, n, -1), cols.transpose(0, 2, 1)).sum(axis=0).reshape(weights.shape)
 
     return op_result(out.reshape(b, n, h_out, w_out), "conv2d", (x, dx), (weights, dw),
