@@ -12,9 +12,10 @@ Neither stage carries a bias, and there is no normalization or activation
 besides the softmax.
 
 Every stage is per channel or per group, so the block runs as one pass over
-the whole tensor for every g: the depthwise scalars and the pool act on all m
-channels at once, ``ops.grouped_pointwise`` gives the g logit maps, the
-softmax normalises each of them over its h*w positions, and
+the whole tensor for every g. Both 1x1 stages are ``ops.grouped_pointwise``:
+DW1x1 with m groups of one channel scales every channel by its scalar, and
+after the pool acts on all m channels at once, PW1 with g groups gives the g
+logit maps. The softmax normalises each map over its h*w positions, and
 ``ops.broadcast_mul_add`` scales group k by map k.
 
 ``g = m`` degenerates to a per-channel non-linear gate; ``case3_attention``
@@ -89,7 +90,7 @@ def init_ulsam_weights(cfg: UlsamConfig, rng: np.random.Generator, dtype=np.floa
 def ulsam_attention_maps(f: Tensor, cfg: UlsamConfig, weights: UlsamWeights) -> Tensor:
     """All g attention maps stacked on the channel extent: shape (b, g, h, w)."""
     _check_input(f, cfg, weights)
-    pooled = ops.maxpool_3x3_p1(ops.depthwise_conv(f, ops.reshape(weights.dw, (cfg.channels, 1, 1))))
+    pooled = ops.maxpool_3x3_p1(ops.grouped_pointwise(f, weights.dw, cfg.channels))
     return ops.spatial_softmax(ops.grouped_pointwise(pooled, weights.pw, cfg.groups))
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import attention, models, ops, training
 from .tensor import Tensor, parameter
@@ -102,7 +103,7 @@ def well_separated_windows(rng: np.random.Generator, shape) -> np.ndarray:
     for _ in range(64):
         x = rng.standard_normal(shape)
         b, c, h, w = x.shape
-        win = ops._windows(ops._pad_spatial(x, 1, -np.inf), 3, 1, h, w).reshape(b, c, h, w, 9)
+        win = sliding_window_view(ops._pad_spatial(x, 1, -np.inf), (3, 3), axis=(2, 3)).reshape(b, c, h, w, 9)
         srt = np.sort(win, axis=-1)
         margin = srt[..., -1] - srt[..., -2]
         if np.all((margin > GAP) | ~np.isfinite(srt[..., -2])):

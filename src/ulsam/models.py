@@ -407,7 +407,7 @@ def _layer_forward(graph: ModelGraph, spec: LayerSpec, x: Tensor, train: bool) -
     if spec.kind == KIND_FC:
         return ops.fully_connected(x, graph.params["fc.w"], graph.params["fc.b"])
     if spec.kind == KIND_SOFTMAX:
-        return x  # the head emits logits; predict_proba applies the softmax
+        return x  # the head emits logits; training.cross_entropy applies the softmax
     raise ConfigurationError(f"unknown layer kind {spec.kind!r}")
 
 
@@ -433,14 +433,6 @@ def forward(graph: ModelGraph, x, train: bool = False) -> Tensor:
         if out.ndim == 4:
             out = ops.reshape(out, out.shape[:2])
     return out
-
-
-def predict_proba(graph: ModelGraph, x) -> np.ndarray:
-    """Class probabilities (stable softmax over the logits)."""
-    z = forward(graph, x, train=False).data
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def spatial_trace(graph: ModelGraph, input_hw: int = 224) -> list[tuple[int, int]]:

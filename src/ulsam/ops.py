@@ -24,10 +24,10 @@ A backward also costs about what its gradient needs. ``depthwise_conv``'s
 runs through the same band as its forward: the input gradient is the band
 on the dilated, padded output gradient with the kernel rotated 180 degrees,
 and the weight gradient is the band's adjoint, one GEMM per channel block
-and a sum over each band's diagonals. Neither keeps the forward's padded
-input on the tape; at k=1, stride 1 and no padding the input gradient is
-the per-channel scale ``g * w``. Training batch-norm's backward takes its
-two per-channel sums once and builds the input gradient from them.
+and a sum over each band's diagonals, at every kernel size, 1x1 included.
+Neither keeps the forward's padded input on the tape. Training batch-norm's
+backward takes its two per-channel sums once and builds the input gradient
+from them.
 ``maxpool_3x3_p1`` finds each window's first-claimed cell from the forward's
 row maxima, as small column and row indices, and adds the output gradient
 into the claimed cells with one ``np.add.at`` per channel block of about
@@ -45,7 +45,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from . import instrument
 from .errors import ConfigurationError
@@ -81,18 +80,6 @@ def _out_extent(h: int, pad: int, k: int, stride: int, who: str) -> int:
     if span < 0:
         raise ConfigurationError(f"{who}: kernel {k} does not fit padded extent {h + 2 * pad}")
     return span // stride + 1
-
-
-def _windows(xp: Array, k: int, stride: int, h_out: int, w_out: int) -> Array:
-    """Strided (b, c, h_out, w_out, k, k) view over a padded array."""
-    b, c, _, _ = xp.shape
-    s0, s1, s2, s3 = xp.strides
-    return as_strided(
-        xp,
-        shape=(b, c, h_out, w_out, k, k),
-        strides=(s0, s1, s2 * stride, s3 * stride, s2, s3),
-        writeable=False,
-    )
 
 
 def _pad_spatial(x: Array, pad: int, value: float = 0.0, right: int = 0) -> Array:
@@ -179,8 +166,6 @@ def _band_layout(k: int, stride: int, w_out: int) -> tuple[int, int, int]:
 
 def _band_reach(k: int, stride: int, w_out: int) -> int:
     """Padded input columns that :func:`_band_correlate` reads for ``w_out`` outputs, right margin included."""
-    if k == 1:
-        return stride * (w_out - 1) + 1
     tile, tiles, _ = _band_layout(k, stride, w_out)
     return stride * (tile * tiles - 1) + k
 
@@ -207,14 +192,11 @@ def _band_correlate(xp: Array, kernel: Array, stride: int, h_out: int, w_out: in
     """Per-channel cross-correlation of a padded ``(b, m, ., .)`` array with ``kernel`` ``(m, k, k)``.
 
     ``xp`` holds at least ``stride * (h_out - 1) + k`` rows and
-    ``_band_reach(k, stride, w_out)`` columns. For k = 1 the result is the
-    per-channel scale of the strided array. For k > 1 it is the banded GEMM
+    ``_band_reach(k, stride, w_out)`` columns. The result is the banded GEMM
     that :func:`depthwise_conv` describes, one ``np.matmul`` per channel block.
     """
     b, m, _, _ = xp.shape
     k = kernel.shape[-1]
-    if k == 1:
-        return xp[:, :, : stride * h_out : stride, : stride * w_out : stride] * kernel
     tile, tiles, span = _band_layout(k, stride, w_out)
     rows = _tile_rows(xp, k, stride, h_out, w_out)
     dtype = np.result_type(xp, kernel)
@@ -237,11 +219,8 @@ def _band_correlate(xp: Array, kernel: Array, stride: int, h_out: int, w_out: in
 def _dilate(g: Array, stride: int, offset: int, height: int, width: int) -> Array:
     """``g``'s cell (i, j) at ``(offset + stride * i, offset + stride * j)`` of a zeroed ``(b, m, height, width)``.
 
-    Cells that land outside the array are dropped. When the placement is the
-    identity, ``g`` itself comes back, made contiguous.
+    Cells that land outside the array are dropped.
     """
-    if stride == 1 and offset == 0 and g.shape[2:] == (height, width):
-        return np.ascontiguousarray(g)
     first = -(-max(0, -offset) // stride)  # the first index placed at or after 0
     start = offset + stride * first
     rows = max(0, min(g.shape[2] - first, -(-(height - start) // stride)))
@@ -255,10 +234,10 @@ def _dilate(g: Array, stride: int, offset: int, height: int, width: int) -> Arra
 def depthwise_conv(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Per-channel cross-correlation, ``weights`` ``(m, k, k)``: output channel c depends only on input channel c.
 
-    For k > 1 the forward is a banded GEMM per channel. Each output row is cut
-    into tiles of T = ``DEPTHWISE_TILE`` columns (T = ``w_out`` when the
-    output is narrower); the k input rows by ``stride * (T - 1) + k`` input
-    columns under a tile form one row of ``A``. Channel c's band ``B_c`` has
+    The forward is a banded GEMM per channel. Each output row is cut into
+    tiles of T = ``DEPTHWISE_TILE`` columns (T = ``w_out`` when the output is
+    narrower); the k input rows by ``stride * (T - 1) + k`` input columns
+    under a tile form one row of ``A``. Channel c's band ``B_c`` has
     shape ``(k * span, T)`` with ``B_c[i, stride * n + j, n] = w[c, i, j]``, so
     ``A_c @ B_c`` is that channel's output. ``A`` is copied from a strided
     view of the padded input (right-padded so the last tile fits) in channel
@@ -269,9 +248,6 @@ def depthwise_conv(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 0
     rows whose ``A`` rows hold it (k rows by up to T columns), not only its
     k x k window: outside the window they are NaN (``0 * inf``), and NumPy
     warns of an invalid value in ``matmul``.
-
-    For k = 1 there is no window and the forward is the per-channel scale of
-    the strided input, ``x * w``.
 
     The backward runs through the same band. The input gradient is the
     forward's correlation, at stride 1, of the output gradient with the
@@ -284,10 +260,7 @@ def depthwise_conv(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 0
     ``x``, padded again and copied channel-major, gives ``G_c^T A_c``, the
     transposed gradient of ``B_c``, and ``dw[c, i, j]`` sums its diagonal
     ``(n, i * span + stride * n + j)`` over n. Neither closure keeps the
-    forward's padded copy of ``x``. At k = 1 the input gradient is the
-    per-channel scale of the placed gradient (``g * w`` at stride 1 with no
-    padding, whose -0.0 ``Tensor.accumulate_grad`` turns into +0.0 as a sum
-    into zeros would) and the weight gradient is one per-channel dot product.
+    forward's padded copy of ``x``.
 
     A non-finite output gradient meets the band's zeros the same way: the
     input gradient is inf or NaN across the tile rows of ``dx`` whose band
@@ -314,10 +287,6 @@ def depthwise_conv(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 0
     def dw(g: Array) -> Array:
         grad = np.empty(weights.shape, dtype=g.dtype)
         xp = _pad_spatial(x.data, padding, right=right)
-        if k == 1:
-            tap = xp[:, :, : stride * h_out : stride, : stride * w_out : stride]
-            grad[:, 0, 0] = np.einsum("bchw,bchw->c", tap, g)
-            return grad
         tile, tiles, span = _band_layout(k, stride, w_out)
         rows = _tile_rows(xp, k, stride, h_out, w_out).transpose(1, 0, 2, 3, 4, 5)
         step = _block_channels(m, b * h_out * tiles * k * span * xp.itemsize)
@@ -365,7 +334,9 @@ def grouped_pointwise(x: Tensor, weights: Tensor, groups: int) -> Tensor:
 
     ``weights`` is a length-m vector: filter k is its slice ``[k*G, (k+1)*G)``,
     G = m / g, applied to the same channels of ``x``. No bias. Counts as
-    ``b*m*h*w`` pointwise MACs, one per input element.
+    ``b*m*h*w`` pointwise MACs, one per input element. With g = m each group
+    is one channel and the op is the per-channel scale ``x * w``, the ULSAM
+    block's 1x1 depthwise stage.
     """
     _require_rank4(x, "grouped_pointwise")
     b, m, h, w = x.shape

@@ -122,10 +122,37 @@ def test_split_groups_degenerate_cases():
     filt = t(w.reshape(1, 4, 1, 1))
     np.testing.assert_allclose(whole.data, ops.pointwise_conv(t(x), filt).data, rtol=0, atol=1e-15)
     # one channel per group: a per-channel scale, and one map per channel
-    singles = ops.grouped_pointwise(t(x), t(w), 4)
+    xt, wt = parameter(x), parameter(w)
+    singles = ops.grouped_pointwise(xt, wt, 4)
     np.testing.assert_array_equal(singles.data, x * w[None, :, None, None])
+    g = rng.normal(size=x.shape)
+    singles.backward(g)
+    np.testing.assert_array_equal(xt.grad, g * w[None, :, None, None])
+    np.testing.assert_allclose(wt.grad, np.einsum("bchw,bchw->c", x, g), rtol=0, atol=1e-12)
     a = rng.normal(size=(1, 4, 2, 2))
     np.testing.assert_array_equal(ops.broadcast_mul_add(t(x), t(a)).data, a * x + x)
+
+
+# float64 and float32 (the models' training type); widths 14 and 15 give one tile and two in depthwise_conv's band
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", [(2, 6, 14, 14), (3, 4, 5, 15)])
+def test_first_stage_equals_the_1x1_depthwise_conv(dtype, shape):
+    # DW1x1 runs as grouped_pointwise with one channel per group; the band of a
+    # 1x1 depthwise kernel computes the same scale, its zeros adding nothing
+    rng = np.random.default_rng(11)
+    x, w, g = (rng.normal(size=s).astype(dtype) for s in (shape, shape[1], shape))
+    grads = []
+    for run in (lambda xt, wt: ops.grouped_pointwise(xt, wt, shape[1]),
+                lambda xt, wt: ops.depthwise_conv(xt, ops.reshape(wt, (shape[1], 1, 1)))):
+        xt, wt = parameter(x), parameter(w)
+        out = run(xt, wt)
+        out.backward(g)
+        grads.append((out.data, xt.grad, wt.grad))
+    (out, dx, dw), (ref_out, ref_dx, ref_dw) = grads
+    np.testing.assert_array_equal(out, ref_out)
+    np.testing.assert_array_equal(dx, ref_dx)
+    tol = 1e-12 if dtype == np.float64 else 1e-5
+    np.testing.assert_allclose(dw, ref_dw, rtol=tol, atol=0)
 
 
 def test_split_groups_uneven_rejected():

@@ -303,8 +303,3 @@ def test_mv2_forward_small_input():
     assert logits.shape == (1, 5)
     assert np.all(np.isfinite(logits.data))
 
-
-def test_predict_proba_rows_sum_to_one():
-    g = build_mv1_tiny(4, seed=5)
-    probs = models.predict_proba(g, np.random.default_rng(3).normal(size=(2, 3, 8, 8)))
-    np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)

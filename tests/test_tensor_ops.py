@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -70,7 +71,7 @@ def _conv2d_row_major_im2col(x, w, stride, padding, bias=None):
     b, m, h, wd = x.shape
     n, _, k, _ = w.shape
     h_out, w_out = (h + 2 * padding - k) // stride + 1, (wd + 2 * padding - k) // stride + 1
-    win = ops._windows(ops._pad_spatial(x, padding), k, stride, h_out, w_out)
+    win = sliding_window_view(ops._pad_spatial(x, padding), (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
     cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(b * h_out * w_out, m * k * k)
     out = cols @ w.reshape(n, m * k * k).T
     if bias is not None:
@@ -507,7 +508,7 @@ def reference_maxpool(x, g):
     """
     b, c, h, w = x.shape
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), constant_values=-np.inf)
-    win = ops._windows(xp, 3, 1, h, w).reshape(b, c, h, w, 9)
+    win = sliding_window_view(xp, (3, 3), axis=(2, 3)).reshape(b, c, h, w, 9)
     idx = np.argmax(win, axis=-1)
     out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
     dxp = np.zeros(xp.shape, dtype=g.dtype)
