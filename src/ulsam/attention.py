@@ -82,8 +82,8 @@ class UlsamWeights:
 def init_ulsam_weights(cfg: UlsamConfig, rng: np.random.Generator, dtype=np.float64) -> UlsamWeights:
     """Fan-in scaled init: zero-mean normal with variance 2 / G keeps logits O(1)."""
     std = float(np.sqrt(2.0 / cfg.group_width))
-    dw = parameter(rng.normal(0.0, std, size=cfg.channels).astype(dtype), name="ulsam.dw")
-    pw = parameter(rng.normal(0.0, std, size=cfg.channels).astype(dtype), name="ulsam.pw")
+    dw = parameter(rng.normal(0.0, std, size=cfg.channels).astype(dtype))
+    pw = parameter(rng.normal(0.0, std, size=cfg.channels).astype(dtype))
     return UlsamWeights(dw, pw)
 
 

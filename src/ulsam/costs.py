@@ -5,7 +5,10 @@ kernel tap of every convolution/FC layer (the usual mobile-CNN convention,
 where this quantity is often labelled FLOPs); normalization, activations,
 pooling, softmax, and the attention block's elementwise redistribution are
 excluded. Spatial extents are the layer's *output* extents. MACs come from
-closed forms, a reference independent of the kernels' own tallies.
+closed forms, a reference independent of the kernels' own tallies, split by
+the kinds the kernels tally under (standard, depthwise, pointwise, ulsam, fc).
+Table 1's :func:`attention_overhead` fixes A2Net's maps at m / 8 and the MLP
+reduction at ``REDUCTION`` = 16.
 
 Parameter counts are the sizes of the built graph's weight and bias tensors.
 Batch-norm affine pairs are excluded by default - that is the accounting that
@@ -50,56 +53,36 @@ def flops_dws(s_k: int, m: int, n: int, h: int, w: int) -> tuple[int, int]:
 
 
 ATTENTION_KINDS = ("NonLocal", "A2Net", "SENet", "BAM", "CBAM", "ULSAM")
+REDUCTION = 16  # MLP shrink ratio r of the SE/BAM/CBAM baselines
 
 
-@dataclass(frozen=True)
-class AttentionOverheadQuery:
-    """Inputs to the attention-overhead formulas.
+def attention_overhead(kind: str, m: int, h: int, w: int) -> dict[str, int]:
+    """Exact {params, macs} for one attention block on an m x h x w feature map.
 
-    ``maps`` is the map count of the double-attention block (default m / 8);
-    ``reduction`` is the MLP shrink ratio of the SE/BAM/CBAM baselines. The
-    BAM spatial branch assumes its fixed dilation-4 pair of 3x3 convolutions,
-    which is where the 18 m^2 / r^2 term comes from.
+    The BAM spatial branch assumes its fixed dilation-4 pair of 3x3
+    convolutions, which is where the 18 m^2 / r^2 term comes from.
     """
-
-    kind: str
-    channels: int
-    height: int = 14
-    width: int = 14
-    maps: Optional[int] = None
-    reduction: int = 16
-
-    def __post_init__(self):
-        if self.kind not in ATTENTION_KINDS:
-            raise ConfigurationError(f"unknown attention kind {self.kind!r} (expected one of {ATTENTION_KINDS})")
-        if min(self.channels, self.height, self.width) < 1:
-            raise ConfigurationError("attention overhead: channels and spatial extents must be >= 1")
-        if self.maps is not None and self.maps < 1:
-            raise ConfigurationError("attention overhead: map count must be >= 1")
-
-
-def attention_overhead(q: AttentionOverheadQuery) -> dict[str, int]:
-    """Exact {params, macs} for one attention block on an m x h x w feature map."""
-    m, h, w = q.channels, q.height, q.width
+    if kind not in ATTENTION_KINDS:
+        raise ConfigurationError(f"unknown attention kind {kind!r} (expected one of {ATTENTION_KINDS})")
+    if min(m, h, w) < 1:
+        raise ConfigurationError("attention overhead: channels and spatial extents must be >= 1")
     hw = h * w
-    if q.kind == "NonLocal":
+    if kind == "NonLocal":
         return {"params": 2 * m * m, "macs": 2 * m * m * hw}
-    if q.kind == "A2Net":
-        t = q.maps
-        if t is None:
-            if m % 8 != 0:
-                raise ConfigurationError(f"A2Net default map count is m / 8, but 8 does not divide m = {m}")
-            t = m // 8
+    if kind == "A2Net":
+        if m % 8 != 0:
+            raise ConfigurationError(f"A2Net map count is m / 8, but 8 does not divide m = {m}")
+        t = m // 8
         return {"params": 2 * m * t, "macs": 2 * m * t * hw}
-    if q.kind == "ULSAM":
+    if kind == "ULSAM":
         return {"params": 2 * m, "macs": 2 * m * hw}
-    r = q.reduction
-    if r < 1 or m % r != 0:
+    r = REDUCTION
+    if m % r != 0:
         raise ConfigurationError(f"reduction ratio {r} does not divide channels {m}")
     mlp = 2 * m * m // r
-    if q.kind == "SENet":
+    if kind == "SENet":
         return {"params": mlp, "macs": mlp}
-    if q.kind == "BAM":
+    if kind == "BAM":
         p = 4 * m * m // r + 18 * m * m // (r * r)
         return {"params": p, "macs": mlp + p * hw}
     # CBAM: the channel MLP plus a fixed 7x7x2 spatial kernel (98 weights)
@@ -110,15 +93,15 @@ def table1_rows() -> list[dict]:
     """The six-block overhead comparison, normalized against the subspace block.
 
     Every block sits at the paper's reference point: m = 512 channels on a
-    14x14 map, MLP reduction r = 16, and the A2Net default of m / 8 maps.
+    14x14 map, MLP reduction r = 16, and A2Net's m / 8 maps.
     Normalized columns are the exact ratios of the unrounded counts, shown to
     two decimals; display columns round params to thousands and MACs to
     hundredths of a million.
     """
-    base = attention_overhead(AttentionOverheadQuery("ULSAM", 512, 14, 14))
+    base = attention_overhead("ULSAM", 512, 14, 14)
     rows = []
     for kind in ATTENTION_KINDS:
-        c = attention_overhead(AttentionOverheadQuery(kind, 512, 14, 14, reduction=16))
+        c = attention_overhead(kind, 512, 14, 14)
         rows.append(
             {
                 "kind": kind,

@@ -127,10 +127,8 @@ def _conv_checks(rng) -> list[tuple[str, Callable[[], float]]]:
         arrays = [rng.standard_normal(shape), rng.standard_normal((shape[1], k, k))]
         return lambda: check_fn(lambda xt, wt: ops.depthwise_conv(xt, wt, stride, pad), arrays, rng)
 
-    def pointwise(shape, n, bias):
+    def pointwise(shape, n):
         arrays = [rng.standard_normal(shape), rng.standard_normal((n, shape[1], 1, 1))]
-        if bias:
-            arrays.append(rng.standard_normal(n))
         return lambda: check_fn(ops.pointwise_conv, arrays, rng)
 
     def grouped(shape, g):
@@ -144,9 +142,9 @@ def _conv_checks(rng) -> list[tuple[str, Callable[[], float]]]:
         ("depthwise_conv 1x2x5x5 k3 p1", depthwise((1, 2, 5, 5), 3, 1, 1)),
         ("depthwise_conv 2x3x6x6 k3 s2 p1", depthwise((2, 3, 6, 6), 3, 2, 1)),
         ("depthwise_conv 1x4x3x3 k1", depthwise((1, 4, 3, 3), 1, 1, 0)),
-        ("pointwise_conv 1x3x4x4 n2", pointwise((1, 3, 4, 4), 2, False)),
-        ("pointwise_conv 2x4x3x3 n4 bias", pointwise((2, 4, 3, 3), 4, True)),
-        ("pointwise_conv 1x1x5x5 n1", pointwise((1, 1, 5, 5), 1, False)),
+        ("pointwise_conv 1x3x4x4 n2", pointwise((1, 3, 4, 4), 2)),
+        ("pointwise_conv 2x4x3x3 n4", pointwise((2, 4, 3, 3), 4)),
+        ("pointwise_conv 1x1x5x5 n1", pointwise((1, 1, 5, 5), 1)),
         ("grouped_pointwise 2x4x3x3 g1", grouped((2, 4, 3, 3), 1)),
         ("grouped_pointwise 2x4x3x3 g2", grouped((2, 4, 3, 3), 2)),
         ("grouped_pointwise 1x4x2x3 g4", grouped((1, 4, 2, 3), 4)),
@@ -176,9 +174,8 @@ def _misc_checks(rng) -> list[tuple[str, Callable[[], float]]]:
     def gap(shape):
         return lambda: check_fn(lambda x: ops.global_avg_pool(x), [rng.standard_normal(shape)], rng)
 
-    def fc(b, f, o, rank4):
-        xshape = (b, f, 1, 1) if rank4 else (b, f)
-        arrays = [rng.standard_normal(xshape), rng.standard_normal((f, o)), rng.standard_normal(o)]
+    def fc(b, f, o):
+        arrays = [rng.standard_normal((b, f, 1, 1)), rng.standard_normal((f, o)), rng.standard_normal(o)]
         return lambda: check_fn(lambda x, w, bb: ops.fully_connected(x, w, bb), arrays, rng)
 
     def act(name, fn, kinks, shape):
@@ -225,9 +222,9 @@ def _misc_checks(rng) -> list[tuple[str, Callable[[], float]]]:
         ("global_avg_pool 2x3x4x4", gap((2, 3, 4, 4))),
         ("global_avg_pool 1x5x2x3", gap((1, 5, 2, 3))),
         ("global_avg_pool 3x1x1x1", gap((3, 1, 1, 1))),
-        ("fully_connected 2x6->3", fc(2, 6, 3, False)),
-        ("fully_connected 1x4x1x1->5", fc(1, 4, 5, True)),
-        ("fully_connected 3x2->2", fc(3, 2, 2, False)),
+        ("fully_connected 2x6x1x1->3", fc(2, 6, 3)),
+        ("fully_connected 1x4x1x1->5", fc(1, 4, 5)),
+        ("fully_connected 3x2x1x1->2", fc(3, 2, 2)),
         act("relu 2x3x4x4", ops.relu, (0.0,), (2, 3, 4, 4)),
         act("relu 1x1x2x6", ops.relu, (0.0,), (1, 1, 2, 6)),
         act("relu 3x2x1x1", ops.relu, (0.0,), (3, 2, 1, 1)),

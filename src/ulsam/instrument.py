@@ -8,9 +8,9 @@ attention block's elementwise redistribution are excluded, matching the
 accounting convention of the analyzer.
 
 Kernels attribute their tally to an op kind ("standard", "depthwise",
-"pointwise", "fc"). A :func:`scope` override lets a composite block (the
-subspace-attention block) claim its internal convolutions under its own label
-so per-kind comparisons line up with per-layer reports.
+"pointwise", "ulsam", "fc"), the same kinds the analyzer reports. The
+subspace-attention block's two 1x1 stages are the only callers of
+``ops.grouped_pointwise``, which tallies as "ulsam".
 
 The active counter is process-global state; instrument one forward pass at a
 time (counting is off unless a ``count_macs`` block is open, so ordinary
@@ -40,7 +40,6 @@ class MacCounter:
 
 
 _active: MacCounter | None = None
-_scope_label: str | None = None
 
 
 @contextmanager
@@ -55,19 +54,7 @@ def count_macs(counter: MacCounter | None = None):
         _active = prev
 
 
-@contextmanager
-def scope(label: str):
-    """Attribute kernel tallies inside the block to ``label`` instead of the op kind."""
-    global _scope_label
-    prev = _scope_label
-    _scope_label = label
-    try:
-        yield
-    finally:
-        _scope_label = prev
-
-
 def tally(kind: str, n: int) -> None:
     """Called by kernels; no-op unless a counter is active."""
     if _active is not None:
-        _active.add(_scope_label if _scope_label is not None else kind, n)
+        _active.add(kind, n)

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import attention, instrument, ops
+from . import attention, ops
 from .errors import ConfigurationError, DirectiveError
 from .tensor import Tensor, no_tape, parameter
 
@@ -65,8 +65,7 @@ class LayerSpec:
     kernel: int = 3
     expansion: int = 1
     groups: int = 1
-    bias: bool = False
-    norm_act: bool = True
+    norm_act: bool = True  # False only on MV2's classifier conv, which has a bias instead
     act: str = "relu"
 
     @property
@@ -102,8 +101,8 @@ class ModelGraph:
 
     def _add_bn(self, name: str, channels: int) -> None:
         dt = self.dtype
-        self.params[f"{name}.g"] = parameter(np.ones(channels, dtype=dt), name=f"{name}.g")
-        self.params[f"{name}.b"] = parameter(np.zeros(channels, dtype=dt), name=f"{name}.b")
+        self.params[f"{name}.g"] = parameter(np.ones(channels, dtype=dt))
+        self.params[f"{name}.b"] = parameter(np.zeros(channels, dtype=dt))
         self.buffers[f"{name}.mean"] = np.zeros(channels, dtype=dt)
         self.buffers[f"{name}.var"] = np.ones(channels, dtype=dt)
 
@@ -167,7 +166,7 @@ def build_mv1(alpha: float = 1.0, num_classes: int = 1000, dtype=np.float64, see
         )
     feat = scale_channels_8(1024, alpha)
     layers.append(LayerSpec(KIND_GAP, "pool", feat, feat))
-    layers.append(LayerSpec(KIND_FC, "fc", feat, num_classes, bias=True))
+    layers.append(LayerSpec(KIND_FC, "fc", feat, num_classes))
     layers.append(LayerSpec(KIND_SOFTMAX, "softmax", num_classes, num_classes))
     return _finish_graph("mv1", alpha, num_classes, layers, dtype, seed, min_input=32)
 
@@ -181,7 +180,7 @@ def build_mv2(num_classes: int = 1000, dtype=np.float64, seed: int = 0) -> Model
         layers.append(LayerSpec(KIND_BOTTLENECK, str(i), cin, cout, stride=s, expansion=t, act="relu6"))
     layers.append(LayerSpec(KIND_CONV, "19", 320, 1280, stride=1, kernel=1, act="relu6"))
     layers.append(LayerSpec(KIND_GAP, "pool", 1280, 1280))
-    layers.append(LayerSpec(KIND_CONV, "20", 1280, num_classes, stride=1, kernel=1, bias=True, norm_act=False))
+    layers.append(LayerSpec(KIND_CONV, "20", 1280, num_classes, stride=1, kernel=1, norm_act=False))
     layers.append(LayerSpec(KIND_SOFTMAX, "softmax", num_classes, num_classes))
     return _finish_graph("mv2", 1.0, num_classes, layers, dtype, seed, min_input=32)
 
@@ -198,7 +197,7 @@ def build_mv1_tiny(num_classes: int = 4, width: int = 8, dtype=np.float64, seed:
         LayerSpec(KIND_DWS, "4", 2 * w, 4 * w, stride=2),
         LayerSpec(KIND_DWS, "5", 4 * w, 4 * w, stride=1),
         LayerSpec(KIND_GAP, "pool", 4 * w, 4 * w),
-        LayerSpec(KIND_FC, "fc", 4 * w, num_classes, bias=True),
+        LayerSpec(KIND_FC, "fc", 4 * w, num_classes),
         LayerSpec(KIND_SOFTMAX, "softmax", num_classes, num_classes),
     ]
     return _finish_graph("mv1-tiny", 1.0, num_classes, layers, dtype, seed, min_input=8)
@@ -229,37 +228,36 @@ def _init_layer(graph: ModelGraph, spec: LayerSpec, rng: np.random.Generator) ->
     add = graph.params.__setitem__
     if spec.kind == KIND_CONV:
         k, m, n = spec.kernel, spec.in_channels, spec.out_channels
-        add(f"{p}.w", parameter(_he(rng, (n, m, k, k), m * k * k, dt), name=f"{p}.w"))
-        if spec.bias:
-            add(f"{p}.b", parameter(np.zeros(n, dtype=dt), name=f"{p}.b"))
+        add(f"{p}.w", parameter(_he(rng, (n, m, k, k), m * k * k, dt)))
         if spec.norm_act:
             graph._add_bn(f"{p}.bn", n)
+        else:
+            add(f"{p}.b", parameter(np.zeros(n, dtype=dt)))
     elif spec.kind == KIND_DWS:
         m, n = spec.in_channels, spec.out_channels
-        add(f"{p}.dw.w", parameter(_he(rng, (m, 3, 3), 9, dt), name=f"{p}.dw.w"))
+        add(f"{p}.dw.w", parameter(_he(rng, (m, 3, 3), 9, dt)))
         graph._add_bn(f"{p}.bn1", m)
-        add(f"{p}.pw.w", parameter(_he(rng, (n, m, 1, 1), m, dt), name=f"{p}.pw.w"))
+        add(f"{p}.pw.w", parameter(_he(rng, (n, m, 1, 1), m, dt)))
         graph._add_bn(f"{p}.bn2", n)
     elif spec.kind == KIND_BOTTLENECK:
         m, n, t = spec.in_channels, spec.out_channels, spec.expansion
         hidden = m * t
         if t != 1:
-            add(f"{p}.exp.w", parameter(_he(rng, (hidden, m, 1, 1), m, dt), name=f"{p}.exp.w"))
+            add(f"{p}.exp.w", parameter(_he(rng, (hidden, m, 1, 1), m, dt)))
             graph._add_bn(f"{p}.bn1", hidden)
-        add(f"{p}.dw.w", parameter(_he(rng, (hidden, 3, 3), 9, dt), name=f"{p}.dw.w"))
+        add(f"{p}.dw.w", parameter(_he(rng, (hidden, 3, 3), 9, dt)))
         graph._add_bn(f"{p}.bn2", hidden)
-        add(f"{p}.proj.w", parameter(_he(rng, (n, hidden, 1, 1), hidden, dt), name=f"{p}.proj.w"))
+        add(f"{p}.proj.w", parameter(_he(rng, (n, hidden, 1, 1), hidden, dt)))
         graph._add_bn(f"{p}.bn3", n)
     elif spec.kind == KIND_ULSAM:
         cfg = attention.UlsamConfig(spec.in_channels, spec.groups)
         weights = attention.init_ulsam_weights(cfg, rng, dt)
-        weights.dw.name, weights.pw.name = f"{p}.dw", f"{p}.pw"
         add(f"{p}.dw", weights.dw)
         add(f"{p}.pw", weights.pw)
     elif spec.kind == KIND_FC:
         f, n = spec.in_channels, spec.out_channels
-        add(f"{p}.w", parameter((rng.standard_normal((f, n)) * np.sqrt(1.0 / f)).astype(dt), name=f"{p}.w"))
-        add(f"{p}.b", parameter(np.zeros(n, dtype=dt), name=f"{p}.b"))
+        add(f"{p}.w", parameter((rng.standard_normal((f, n)) * np.sqrt(1.0 / f)).astype(dt)))
+        add(f"{p}.b", parameter(np.zeros(n, dtype=dt)))
     elif spec.kind in (KIND_GAP, KIND_SOFTMAX):
         pass
     else:
@@ -338,7 +336,7 @@ def apply_ulsam(graph: ModelGraph, directives: Sequence, g: int) -> ModelGraph:
     dropped = tuple(f"L{num}." for num in substitutes)  # weights of the substituted layers
     new_graph = ModelGraph(
         arch=graph.arch, num_classes=graph.num_classes, alpha=graph.alpha, layers=new_layers,
-        params={n: parameter(t.data.copy(), name=n) for n, t in graph.params.items() if not n.startswith(dropped)},
+        params={n: parameter(t.data.copy()) for n, t in graph.params.items() if not n.startswith(dropped)},
         buffers={n: b.copy() for n, b in graph.buffers.items() if not n.startswith(dropped)},
         seed=graph.seed, dtype=graph.dtype, min_input=graph.min_input,
     )
@@ -372,7 +370,7 @@ def _layer_forward(graph: ModelGraph, spec: LayerSpec, x: Tensor, train: bool) -
     act = _ACTS[spec.act]
     w = graph.params
     if spec.kind == KIND_CONV:
-        bias = w[f"{p}.b"] if spec.bias else None
+        bias = None if spec.norm_act else w[f"{p}.b"]
         out = ops.conv2d_standard(x, w[f"{p}.w"], spec.stride, spec.kernel // 2, bias)
         if spec.norm_act:
             out = _bn(graph, f"{p}.bn", out, train)
@@ -400,8 +398,7 @@ def _layer_forward(graph: ModelGraph, spec: LayerSpec, x: Tensor, train: bool) -
     if spec.kind == KIND_ULSAM:
         cfg = attention.UlsamConfig(spec.in_channels, spec.groups)
         weights = attention.UlsamWeights(graph.params[f"{p}.dw"], graph.params[f"{p}.pw"])
-        with instrument.scope("ulsam"):
-            return attention.ulsam_forward(x, cfg, weights)
+        return attention.ulsam_forward(x, cfg, weights)
     if spec.kind == KIND_GAP:
         return ops.global_avg_pool(x)
     if spec.kind == KIND_FC:

@@ -53,6 +53,7 @@ from .tensor import Array, Tensor, op_result
 CONV_STANDARD = "standard"
 CONV_DEPTHWISE = "depthwise"
 CONV_POINTWISE = "pointwise"
+ULSAM = "ulsam"  # both 1x1 stages of the subspace-attention block, which alone runs grouped_pointwise
 
 BN_MOMENTUM = 0.9
 BN_EPS = 1e-5
@@ -154,7 +155,7 @@ def conv2d_standard(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 
     def dw(g: Array) -> Array:
         return np.matmul(g.reshape(b, n, -1), cols.transpose(0, 2, 1)).sum(axis=0).reshape(weights.shape)
 
-    return op_result(out.reshape(b, n, h_out, w_out), "conv2d", (x, dx), (weights, dw),
+    return op_result(out.reshape(b, n, h_out, w_out), (x, dx), (weights, dw),
                      (bias, lambda g: g.sum(axis=(0, 2, 3))))
 
 
@@ -305,20 +306,18 @@ def depthwise_conv(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 0
         np.sum(taps, axis=-1, out=grad)
         return grad
 
-    return op_result(out, "depthwise_conv", (x, dx), (weights, dw))
+    return op_result(out, (x, dx), (weights, dw))
 
 
-def pointwise_conv(x: Tensor, weights: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+def pointwise_conv(x: Tensor, weights: Tensor) -> Tensor:
     """1x1 convolution, ``weights`` ``(n, m, 1, 1)``: a linear mix across channels at each spatial position."""
     _require_rank4(x, "pointwise_conv")
     b, m, h, w = x.shape
-    _check_conv("pointwise_conv", x, weights, weights.shape[:1] + (m, 1, 1), bias=bias)
+    _check_conv("pointwise_conv", x, weights, weights.shape[:1] + (m, 1, 1))
     n = weights.shape[0]
     x_flat = x.data.reshape(b, m, h * w)
     out = np.matmul(weights.data.reshape(n, m), x_flat).reshape(b, n, h, w)
     instrument.tally(CONV_POINTWISE, b * m * n * h * w)
-    if bias is not None:
-        out = out + bias.data[None, :, None, None]
 
     def dx(g: Array) -> Array:
         return np.matmul(weights.data.reshape(n, m).T, g.reshape(b, n, h * w)).reshape(x.shape)
@@ -326,7 +325,7 @@ def pointwise_conv(x: Tensor, weights: Tensor, bias: Optional[Tensor] = None) ->
     def dw(g: Array) -> Array:
         return np.einsum("bnl,bml->nm", g.reshape(b, n, h * w), x_flat, optimize=True).reshape(n, m, 1, 1)
 
-    return op_result(out, "pointwise_conv", (x, dx), (weights, dw), (bias, lambda g: g.sum(axis=(0, 2, 3))))
+    return op_result(out, (x, dx), (weights, dw))
 
 
 def grouped_pointwise(x: Tensor, weights: Tensor, groups: int) -> Tensor:
@@ -334,9 +333,10 @@ def grouped_pointwise(x: Tensor, weights: Tensor, groups: int) -> Tensor:
 
     ``weights`` is a length-m vector: filter k is its slice ``[k*G, (k+1)*G)``,
     G = m / g, applied to the same channels of ``x``. No bias. Counts as
-    ``b*m*h*w`` pointwise MACs, one per input element. With g = m each group
-    is one channel and the op is the per-channel scale ``x * w``, the ULSAM
-    block's 1x1 depthwise stage.
+    ``b*m*h*w`` MACs of kind ``ulsam``, one per input element: the ULSAM block
+    runs both its 1x1 stages through this op and nothing else calls it. With
+    g = m each group is one channel and the op is the per-channel scale
+    ``x * w``, the block's 1x1 depthwise stage.
     """
     _require_rank4(x, "grouped_pointwise")
     b, m, h, w = x.shape
@@ -346,7 +346,7 @@ def grouped_pointwise(x: Tensor, weights: Tensor, groups: int) -> Tensor:
         raise ConfigurationError(f"grouped_pointwise: weights shape {weights.shape}, expected ({m},)")
     grouped = (b, groups, m // groups, h * w)
     out = np.einsum("bkcl,kc->bkl", x.data.reshape(grouped), weights.data.reshape(grouped[1:3]))
-    instrument.tally(CONV_POINTWISE, b * m * h * w)
+    instrument.tally(ULSAM, b * m * h * w)
 
     def dx(g: Array) -> Array:
         return (g.reshape(b, groups, 1, h * w) * weights.data.reshape(1, groups, m // groups, 1)).reshape(x.shape)
@@ -354,7 +354,7 @@ def grouped_pointwise(x: Tensor, weights: Tensor, groups: int) -> Tensor:
     def dw(g: Array) -> Array:
         return np.einsum("bkl,bkcl->kc", g.reshape(b, groups, h * w), x.data.reshape(grouped)).reshape(-1)
 
-    return op_result(out.reshape(b, groups, h, w), "grouped_pointwise", (x, dx), (weights, dw))
+    return op_result(out.reshape(b, groups, h, w), (x, dx), (weights, dw))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +441,7 @@ def maxpool_3x3_p1(x: Tensor) -> Tensor:
             grad[p : p + n] = block[:, 1 : h + 1, 1 : w + 1]
         return grad.reshape(out.shape)
 
-    return op_result(out, "maxpool_3x3_p1", (x, dx))
+    return op_result(out, (x, dx))
 
 
 def spatial_softmax(x: Tensor) -> Tensor:
@@ -461,7 +461,7 @@ def spatial_softmax(x: Tensor) -> Tensor:
         dot = (gf * s).sum(axis=2, keepdims=True)
         return (s * (gf - dot)).reshape(x.shape)
 
-    return op_result(s.reshape(x.shape), "spatial_softmax", (x, dx))
+    return op_result(s.reshape(x.shape), (x, dx))
 
 
 def broadcast_mul_add(f: Tensor, a: Tensor) -> Tensor:
@@ -485,8 +485,7 @@ def broadcast_mul_add(f: Tensor, a: Tensor) -> Tensor:
     fg = f.data.reshape(grouped)
     ag = a.data.reshape(b, g, 1, h, w)
     out = (ag * fg + fg).reshape(f.shape)
-    return op_result(out, "broadcast_mul_add",
-                     (f, lambda grad: (grad.reshape(grouped) * (ag + 1.0)).reshape(f.shape)),
+    return op_result(out, (f, lambda grad: (grad.reshape(grouped) * (ag + 1.0)).reshape(f.shape)),
                      (a, lambda grad: (grad.reshape(grouped) * fg).sum(axis=2)))
 
 
@@ -503,8 +502,8 @@ def channel_concat(parts: Sequence[Tensor]) -> Tensor:
     out = np.concatenate([p.data for p in parts], axis=1)
     offsets = np.cumsum([0] + [p.shape[1] for p in parts])
 
-    return op_result(out, "channel_concat", *[(p, lambda g, lo=lo, hi=hi: g[:, lo:hi])
-                                              for p, lo, hi in zip(parts, offsets[:-1], offsets[1:])])
+    return op_result(out, *[(p, lambda g, lo=lo, hi=hi: g[:, lo:hi])
+                            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:])])
 
 
 def channel_slice(x: Tensor, start: int, stop: int) -> Tensor:
@@ -518,7 +517,7 @@ def channel_slice(x: Tensor, start: int, stop: int) -> Tensor:
         full[:, start:stop] = g
         return full
 
-    return op_result(x.data[:, start:stop].copy(), "channel_slice", (x, dx))
+    return op_result(x.data[:, start:stop].copy(), (x, dx))
 
 
 def slice1d(x: Tensor, start: int, stop: int) -> Tensor:
@@ -533,12 +532,12 @@ def slice1d(x: Tensor, start: int, stop: int) -> Tensor:
         full[start:stop] = g
         return full
 
-    return op_result(x.data[start:stop].copy(), "slice1d", (x, dx))
+    return op_result(x.data[start:stop].copy(), (x, dx))
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:
     """Reshape with gradient routing; element count must be preserved."""
-    return op_result(x.data.reshape(shape).copy(), "reshape", (x, lambda g: g.reshape(x.shape)))
+    return op_result(x.data.reshape(shape).copy(), (x, lambda g: g.reshape(x.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -551,42 +550,34 @@ def global_avg_pool(x: Tensor) -> Tensor:
     _require_rank4(x, "global_avg_pool")
     b, c, h, w = x.shape
     out = x.data.mean(axis=(2, 3), keepdims=True)
-    return op_result(out, "global_avg_pool", (x, lambda g: np.broadcast_to(g / (h * w), x.shape)))
+    return op_result(out, (x, lambda g: np.broadcast_to(g / (h * w), x.shape)))
 
 
-def fully_connected(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Affine map ``x @ W + b``; accepts (b, f) or (b, f, 1, 1) inputs, W is (f, out)."""
-    if x.ndim == 4:
-        b = x.shape[0]
-        feat = x.shape[1] * x.shape[2] * x.shape[3]
-    elif x.ndim == 2:
-        b, feat = x.shape
-    else:
-        raise ConfigurationError(f"fully_connected: expected rank 2 or 4 input, got shape {x.shape}")
+def fully_connected(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Affine map ``x @ W + b``, W (f, out), of each item's flattened rank-4 features: (b, f, 1, 1) after the pool."""
+    _require_rank4(x, "fully_connected")
+    b, feat = x.shape[0], x.shape[1] * x.shape[2] * x.shape[3]
     if weight.ndim != 2 or weight.shape[0] != feat:
         raise ConfigurationError(f"fully_connected: weight shape {weight.shape} incompatible with {feat} features")
     out_features = weight.shape[1]
-    if bias is not None and bias.shape != (out_features,):
+    if bias.shape != (out_features,):
         raise ConfigurationError(f"fully_connected: bias shape {bias.shape}, expected ({out_features},)")
 
     x2d = x.data.reshape(b, feat)
-    out = x2d @ weight.data
+    out = x2d @ weight.data + bias.data
     instrument.tally("fc", b * feat * out_features)
-    if bias is not None:
-        out = out + bias.data[None, :]
-
-    return op_result(out, "fully_connected", (x, lambda g: (g @ weight.data.T).reshape(x.shape)),
+    return op_result(out, (x, lambda g: (g @ weight.data.T).reshape(x.shape)),
                      (weight, lambda g: x2d.T @ g), (bias, lambda g: g.sum(axis=0)))
 
 
 def relu(x: Tensor) -> Tensor:
-    return op_result(np.maximum(x.data, 0.0), "relu", (x, lambda g: g * (x.data > 0).astype(g.dtype)))
+    return op_result(np.maximum(x.data, 0.0), (x, lambda g: g * (x.data > 0).astype(g.dtype)))
 
 
 def relu6(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0.0)
     np.minimum(out, 6.0, out=out)
-    return op_result(out, "relu6", (x, lambda g: g * ((x.data > 0) & (x.data < 6)).astype(g.dtype)))
+    return op_result(out, (x, lambda g: g * ((x.data > 0) & (x.data < 6)).astype(g.dtype)))
 
 
 def _channel_sum(a: Array) -> Array:
@@ -634,7 +625,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Array, runn
         def dgamma_infer(g: Array) -> Array:
             return (g * ((x.data - mean[None, :, None, None]) * inv_std[None, :, None, None])).sum(axis=(0, 2, 3))
 
-        return op_result(out, "batch_norm", (x, lambda g: scale * g), (gamma, dgamma_infer),
+        return op_result(out, (x, lambda g: scale * g), (gamma, dgamma_infer),
                          (beta, lambda g: g.sum(axis=(0, 2, 3))))
 
     n = b * h * w
@@ -672,4 +663,4 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Array, runn
     def dbeta(g: Array) -> Array:
         return handed.pop("beta") if "beta" in handed else _channel_sum(g)
 
-    return op_result(out, "batch_norm", (x, dx), (gamma, dgamma), (beta, dbeta))
+    return op_result(out, (x, dx), (gamma, dgamma), (beta, dbeta))

@@ -1,12 +1,14 @@
 """Dense tensor container with reverse-mode gradient recording.
 
-A :class:`Tensor` wraps a NumPy array plus an optional gradient buffer. Ops
-(see :mod:`ulsam.ops`) are pure functions: they read input ``.data``, compute
-the output and hand it to :func:`op_result` with one gradient function per
-input. ``op_result`` owns the tape rule: it links the output to its inputs
-only while recording and only when an input needs gradients, and its one
-backward closure adds each needed input's gradient into that input's
-``.grad``. ``backward()`` replays those closures in reverse topological order.
+A :class:`Tensor` is a NumPy array, an optional gradient buffer and its tape
+links, with no name: a model names its parameters by their keys in
+``ModelGraph.params``. Ops (see :mod:`ulsam.ops`) are pure functions: they
+read input ``.data``, compute the output and hand it to
+``op_result(data, *(input, grad_fn))``. ``op_result`` owns the tape rule: it
+links the output to its inputs only while recording and only when an input
+needs gradients, and its one backward closure adds each needed input's
+gradient into that input's ``.grad``. ``backward()`` replays those closures
+in reverse topological order.
 
 Convolutional code treats tensors as rank-4 ``(batch, channels, height,
 width)``; the container itself is rank-agnostic so scalars (losses) and
@@ -32,7 +34,7 @@ _recording = True  # False inside ``no_tape()``: op_result then links no output 
 class Tensor:
     """An n-d array, an optional grad buffer of the same shape, and tape links."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(
         self,
@@ -40,7 +42,6 @@ class Tensor:
         requires_grad: bool = False,
         parents: Iterable["Tensor"] = (),
         backward: Optional[Callable[[Array], None]] = None,
-        name: str = "",
     ):
         if isinstance(data, Tensor):
             data = data.data
@@ -51,7 +52,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = tuple(parents)
         self._backward = backward
-        self.name = name
 
     # -- introspection -------------------------------------------------------
 
@@ -72,13 +72,7 @@ class Tensor:
         return self.data.size
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, dtype={self.dtype}{tag}, requires_grad={self.requires_grad})"
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ConfigurationError(f"item() on non-scalar tensor of shape {self.shape}")
-        return float(self.data.reshape(-1)[0])
+        return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
 
     # -- gradient plumbing ---------------------------------------------------
 
@@ -138,12 +132,12 @@ class Tensor:
             raise TypeError("Tensor addition expects another Tensor")
         if self.shape != other.shape:
             raise ConfigurationError(f"add: shape mismatch {self.shape} vs {other.shape}")
-        return op_result(self.data + other.data, "add", (self, lambda g: g), (other, lambda g: g))
+        return op_result(self.data + other.data, (self, lambda g: g), (other, lambda g: g))
 
 
-def parameter(data, name: str = "", dtype=None) -> Tensor:
+def parameter(data, dtype=None) -> Tensor:
     """A leaf tensor that wants gradients (model weights)."""
-    return Tensor(np.asarray(data, dtype=dtype), requires_grad=True, name=name)
+    return Tensor(np.asarray(data, dtype=dtype), requires_grad=True)
 
 
 @contextmanager
@@ -157,7 +151,7 @@ def no_tape() -> Iterator[None]:
         _recording = previous
 
 
-def op_result(data, name: str, *grads: tuple[Optional[Tensor], Callable[[Array], Array]]) -> Tensor:
+def op_result(data, *grads: tuple[Optional[Tensor], Callable[[Array], Array]]) -> Tensor:
     """An op's output ``data`` together with the gradient rule of each input.
 
     Each of ``grads`` is an ``(input, fn)`` pair: ``fn`` maps the output's
@@ -171,10 +165,10 @@ def op_result(data, name: str, *grads: tuple[Optional[Tensor], Callable[[Array],
     # an input needs the tape when it wants gradients or was itself recorded
     taped = [(t, fn) for t, fn in grads if t is not None and (t.requires_grad or t._parents)] if _recording else []
     if not taped:
-        return Tensor(data, name=name)
+        return Tensor(data)
 
     def backward(g: Array) -> None:
         for t, fn in taped:
             t.accumulate_grad(fn(g))
 
-    return Tensor(data, parents=(t for t, _ in grads if t is not None), backward=backward, name=name)
+    return Tensor(data, parents=(t for t, _ in grads if t is not None), backward=backward)

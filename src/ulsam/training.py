@@ -138,7 +138,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         soft[np.arange(b), labels] -= 1.0
         return float(g) * soft / b
 
-    return op_result(np.array(losses.mean(), dtype=logits.dtype), "cross_entropy", (logits, dlogits))
+    return op_result(np.array(losses.mean(), dtype=logits.dtype), (logits, dlogits))
 
 
 def topk_accuracy(logits: np.ndarray, labels: np.ndarray, k: int) -> float:
@@ -149,7 +149,7 @@ def topk_accuracy(logits: np.ndarray, labels: np.ndarray, k: int) -> float:
         raise ConfigurationError("topk_accuracy: logits must be (batch, classes) with one label per row")
     c = logits.shape[1]
     if not (1 <= k <= c):
-        raise ConfigurationError(f"topk_accuracy: k = {k} exceeds the {c} classes")
+        raise ConfigurationError(f"topk_accuracy: k = {k} must be in [1, {c}] for the {c} classes")
     order = np.argsort(-logits, axis=1, kind="stable")[:, :k]
     hits = (order == labels[:, None]).any(axis=1)
     return float(hits.mean())
@@ -317,7 +317,7 @@ def _batch_logits(graph: models.ModelGraph, images: np.ndarray) -> np.ndarray:
 
 def evaluate(graph: models.ModelGraph, dataset: Dataset, ks: Optional[Sequence[int]] = None) -> dict[str, float]:
     """Top-k accuracies in inference mode. Default ks are (1, 5) clamped to the class count;
-    explicitly requested ks must not exceed it."""
+    explicitly requested ks must lie in [1, classes]."""
     c = dataset.num_classes
     if graph.num_classes != c:
         raise ConfigurationError(f"model head has {graph.num_classes} classes, dataset has {c}")
@@ -325,8 +325,8 @@ def evaluate(graph: models.ModelGraph, dataset: Dataset, ks: Optional[Sequence[i
         pairs = [("top1", 1), ("top5", min(5, c))]
     else:
         for k in ks:
-            if k > c:
-                raise ConfigurationError(f"requested top-{k} with only {c} classes")
+            if not 1 <= k <= c:
+                raise ConfigurationError(f"requested top-{k}: k must be in [1, {c}] for the {c} classes")
         pairs = [(f"top{k}", k) for k in ks]
     logits = _batch_logits(graph, dataset.images)
     return {name: topk_accuracy(logits, dataset.labels, k) for name, k in pairs}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ulsam import gradcheck, ops
+from ulsam import gradcheck, instrument, ops
 from ulsam.attention import (
     UlsamConfig,
     UlsamWeights,
@@ -45,25 +45,31 @@ def block_grads(cfg, x, weights, upstream):
 # ---------------------------------------------------------------------------
 
 
-def reference_block(f, cfg, weights):
-    """The block composed group by group, as the paper writes it: (output, maps).
+def reference_block(x, dw, pw, cfg, upstream):
+    """The block run group by group, as the paper writes it, on NumPy arrays.
 
-    Each group's channels and weights are sliced out, run through DW1x1,
-    max-pool, a single-output pointwise conv and the spatial softmax, and the
-    refined groups are concatenated. The whole-tensor pass must match it.
+    Each group's channels and weight slices become leaf tensors that run
+    through DW1x1, max-pool, a single-output pointwise conv, the spatial
+    softmax and the redistribution, and the group's output is backpropagated
+    from its slice of ``upstream``. NumPy places every group's results into
+    (output, maps, d_input, d_dw, d_pw); the whole-tensor pass must match them.
     """
+    b, m, h, w = x.shape
     width = cfg.group_width
-    refined, maps = [], []
+    out, maps, dx = np.empty_like(x), np.empty((b, cfg.groups, h, w)), np.empty_like(x)
+    ddw, dpw = np.empty(m), np.empty(m)
     for k in range(cfg.groups):
-        lo, hi = k * width, (k + 1) * width
-        f_k = ops.channel_slice(f, lo, hi)
-        dw = ops.reshape(ops.slice1d(weights.dw, lo, hi), (width, 1, 1))
-        pw = ops.reshape(ops.slice1d(weights.pw, lo, hi), (1, width, 1, 1))
-        pooled = ops.maxpool_3x3_p1(ops.depthwise_conv(f_k, dw))
-        a = ops.spatial_softmax(ops.pointwise_conv(pooled, pw))
-        maps.append(a)
-        refined.append(ops.broadcast_mul_add(f_k, a))
-    return ops.channel_concat(refined), ops.channel_concat(maps)
+        group = slice(k * width, (k + 1) * width)
+        f_k = parameter(x[:, group].copy())
+        dw_k = parameter(dw[group].reshape(width, 1, 1))
+        pw_k = parameter(pw[group].reshape(1, width, 1, 1))
+        pooled = ops.maxpool_3x3_p1(ops.depthwise_conv(f_k, dw_k))
+        a = ops.spatial_softmax(ops.pointwise_conv(pooled, pw_k))
+        refined = ops.broadcast_mul_add(f_k, a)
+        refined.backward(upstream[:, group])
+        out[:, group], maps[:, k], dx[:, group] = refined.data, a.data[:, 0], f_k.grad
+        ddw[group], dpw[group] = dw_k.grad.reshape(-1), pw_k.grad.reshape(-1)
+    return out, maps, dx, ddw, dpw
 
 
 @pytest.mark.parametrize("g", [1, 2, 4, 8])
@@ -75,19 +81,23 @@ def test_whole_tensor_pass_matches_per_group_reference(g):
     upstream = rng.normal(size=x.shape)
     dw, pw = rng.normal(size=m), rng.normal(size=m)
 
-    def run(block):
-        f, w = parameter(x), UlsamWeights(parameter(dw), parameter(pw))
-        out = block(f, w)
-        out.backward(upstream)
-        return out.data, f.grad, w.dw.grad, w.pw.grad
-
-    got = run(lambda f, w: ulsam_forward(f, cfg, w))
-    ref = run(lambda f, w: reference_block(f, cfg, w)[0])
-    for name, a, b in zip(("output", "d_input", "d_dw", "d_pw"), got, ref):
+    got = block_grads(cfg, x, UlsamWeights(parameter(dw), parameter(pw)), upstream)
+    ref_out, ref_maps, *ref_grads = reference_block(x, dw, pw, cfg, upstream)
+    for name, a, b in zip(("output", "d_input", "d_dw", "d_pw"), got, (ref_out, *ref_grads)):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max(), err_msg=name)
     weights = UlsamWeights(parameter(dw), parameter(pw))
     maps = ulsam_attention_maps(t(x), cfg, weights).data
-    np.testing.assert_allclose(maps, reference_block(t(x), cfg, weights)[1].data, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(maps, ref_maps, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("g", [1, 4, 16])
+def test_block_alone_tallies_2bmhw_ulsam_macs(g):
+    # the paper's 2mhw per item, for every g, under the block's own kind
+    b, m, h, w = 2, 16, 5, 3
+    x = np.random.default_rng(g).normal(size=(b, m, h, w))
+    with instrument.count_macs() as counter:
+        ulsam_forward(t(x), UlsamConfig(m, g), rand_weights(m))
+    assert counter.by_kind == {"ulsam": 2 * b * m * h * w}
 
 
 # ---------------------------------------------------------------------------

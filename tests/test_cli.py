@@ -137,7 +137,7 @@ def test_gradcheck_corrupted_backward_fails_naming_op(monkeypatch, capsys):
     def corrupted_relu6(x):
         mask = ((x.data > 0) & (x.data < 6)).astype(x.dtype)
         # 1% skewed backward
-        return op_result(np.clip(x.data, 0.0, 6.0), "relu6", (x, lambda g: g * (mask * 1.01)))
+        return op_result(np.clip(x.data, 0.0, 6.0), (x, lambda g: g * (mask * 1.01)))
 
     monkeypatch.setattr("ulsam.ops.relu6", corrupted_relu6)
     code, out, err = run_cli(["gradcheck"], capsys)
@@ -224,6 +224,15 @@ def test_eval_topk_above_class_count_exits_2(tmp_path, capsys):
     code, _, err = run_cli(["eval", "--config", str(cfg), "--topk", "5",
                             "--checkpoint", str(tmp_path / "run" / "checkpoint.bin")], capsys)
     assert code == 2 and "classes" in err
+
+
+def test_eval_topk_zero_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TRAIN_CFG))
+    run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "run")], capsys)
+    code, _, err = run_cli(["eval", "--config", str(cfg), "--topk", "0",
+                            "--checkpoint", str(tmp_path / "run" / "checkpoint.bin")], capsys)
+    assert code == 2 and "requested top-0: k must be in [1, 4]" in err
 
 
 def test_eval_corrupt_checkpoint_exits_2(tmp_path, capsys):

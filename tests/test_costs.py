@@ -5,7 +5,6 @@ import pytest
 
 from ulsam import costs, models
 from ulsam.costs import (
-    AttentionOverheadQuery,
     analyze_model,
     attention_overhead,
     flops_dws,
@@ -68,37 +67,44 @@ def test_flops_reject_nonpositive():
     ("ULSAM", 1_024, 200_704),
 ])
 def test_overhead_values_at_reference_point(kind, params, macs):
-    got = attention_overhead(AttentionOverheadQuery(kind, 512, 14, 14))
+    got = attention_overhead(kind, 512, 14, 14)
     assert got == {"params": params, "macs": macs}
 
 
 def test_overhead_ulsam_takes_no_group_argument():
-    q = AttentionOverheadQuery("ULSAM", 512, 14, 14)
-    assert not hasattr(q, "groups") and not hasattr(q, "g")
-    assert attention_overhead(q)["params"] == 2 * 512
+    with pytest.raises(TypeError):
+        attention_overhead("ULSAM", 512, 14, 14, 4)
+    assert attention_overhead("ULSAM", 512, 14, 14)["params"] == 2 * 512
 
 
 def test_overhead_reduction_must_divide_channels():
-    with pytest.raises(ConfigurationError, match="divide"):
-        attention_overhead(AttentionOverheadQuery("SENet", 100, 14, 14, reduction=16))
+    assert costs.REDUCTION == 16
+    for kind in ("SENet", "BAM", "CBAM"):
+        with pytest.raises(ConfigurationError, match="divide"):
+            attention_overhead(kind, 100, 14, 14)
 
 
-def test_overhead_a2net_map_count_defaults_to_m_over_8():
-    assert attention_overhead(AttentionOverheadQuery("A2Net", 64, 4, 4))["params"] == 2 * 64 * 8
-    assert attention_overhead(AttentionOverheadQuery("A2Net", 10, 4, 4, maps=3))["params"] == 60
+def test_overhead_a2net_map_count_is_m_over_8():
+    assert attention_overhead("A2Net", 64, 4, 4)["params"] == 2 * 64 * 8
     with pytest.raises(ConfigurationError, match="divide"):
-        attention_overhead(AttentionOverheadQuery("A2Net", 10, 4, 4))
+        attention_overhead("A2Net", 10, 4, 4)
 
 
 def test_overhead_unknown_kind_rejected():
     with pytest.raises(ConfigurationError, match="kind"):
-        AttentionOverheadQuery("SGE", 512, 14, 14)
+        attention_overhead("SGE", 512, 14, 14)
+
+
+@pytest.mark.parametrize("m,h,w", [(0, 14, 14), (512, 0, 14), (512, 14, -1)])
+def test_overhead_rejects_non_positive_extent(m, h, w):
+    with pytest.raises(ConfigurationError, match=">= 1"):
+        attention_overhead("ULSAM", m, h, w)
 
 
 @pytest.mark.parametrize("m", [64, 256, 512])
 def test_nonlocal_to_ulsam_param_ratio_is_m(m):
-    nl = attention_overhead(AttentionOverheadQuery("NonLocal", m, 14, 14))
-    ul = attention_overhead(AttentionOverheadQuery("ULSAM", m, 14, 14))
+    nl = attention_overhead("NonLocal", m, 14, 14)
+    ul = attention_overhead("ULSAM", m, 14, 14)
     assert nl["params"] / ul["params"] == m
     assert nl["macs"] / ul["macs"] == m
 
@@ -185,7 +191,8 @@ def _closed_form_params(spec, bn):
     """One layer's parameter count from its shape alone, independent of the built tensors."""
     m, n = spec.in_channels, spec.out_channels
     if spec.kind == "conv":
-        return spec.kernel**2 * m * n + n * spec.bias + 2 * n * (bn and spec.norm_act)
+        # a conv without batch-norm has a bias instead
+        return spec.kernel**2 * m * n + (2 * n * bn if spec.norm_act else n)
     if spec.kind == "dws":
         return 9 * m + m * n + bn * (2 * m + 2 * n)
     if spec.kind == "bottleneck":

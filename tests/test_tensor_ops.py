@@ -430,8 +430,6 @@ def test_conv_kernels_check_bias_length():
     x = t(np.zeros((1, 3, 4, 4)))
     with pytest.raises(ConfigurationError, match="bias shape"):
         ops.conv2d_standard(x, t(np.zeros((2, 3, 3, 3))), bias=t(np.zeros(3)))
-    with pytest.raises(ConfigurationError, match="bias shape"):
-        ops.pointwise_conv(x, t(np.zeros((2, 3, 1, 1))), bias=t(np.zeros(3)))
 
 
 @pytest.mark.parametrize("kernel,wshape", [
@@ -726,7 +724,7 @@ def test_grouped_pointwise_definitional():
     for k in range(3):
         c = 2 * k
         np.testing.assert_array_equal(out[:, k], x[:, c] * w[c] + x[:, c + 1] * w[c + 1])
-    assert counter.by_kind == {ops.CONV_POINTWISE: x.size}
+    assert counter.by_kind == {ops.ULSAM: x.size}
 
 
 def test_grouped_pointwise_weight_length_checked():
@@ -782,9 +780,14 @@ def test_relu_values():
 
 def test_fully_connected_gradients():
     rng = np.random.default_rng(16)
-    arrays = [rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=2)]
+    arrays = [rng.normal(size=(3, 4, 1, 1)), rng.normal(size=(4, 2)), rng.normal(size=2)]
     err = gradcheck.check_fn(lambda x, w, b: ops.fully_connected(x, w, b), arrays, rng)
     assert err < 1e-6
+
+
+def test_fully_connected_takes_rank4_input_only():
+    with pytest.raises(ConfigurationError, match="rank-4"):
+        ops.fully_connected(t(np.zeros((3, 4))), t(np.zeros((4, 2))), t(np.zeros(2)))
 
 
 def test_batch_norm_train_normalizes_and_tracks_running_stats():
@@ -956,7 +959,7 @@ def _never(g):
 
 def test_op_result_asks_only_inputs_that_need_the_tape():
     w, x = parameter(np.ones(3)), Tensor(np.ones(3))
-    out = op_result(np.zeros(3), "probe", (x, _never), (None, _never), (w, lambda g: 2.0 * g))
+    out = op_result(np.zeros(3), (x, _never), (None, _never), (w, lambda g: 2.0 * g))
     assert out._parents == (x, w)
     out.backward(np.array([1.0, -1.0, 0.5]))
     np.testing.assert_array_equal(w.grad, [2.0, -2.0, 1.0])
@@ -965,9 +968,9 @@ def test_op_result_asks_only_inputs_that_need_the_tape():
 
 def test_op_result_is_a_leaf_without_a_taped_input():
     w, x = parameter(np.ones(3)), Tensor(np.ones(3))
-    leaves = [op_result(np.zeros(3), "probe", (x, _never), (None, _never))]
+    leaves = [op_result(np.zeros(3), (x, _never), (None, _never))]
     with no_tape():
-        leaves.append(op_result(np.zeros(3), "probe", (w, _never)))
+        leaves.append(op_result(np.zeros(3), (w, _never)))
     for out in leaves:
         assert out._parents == () and out._backward is None
 
@@ -984,7 +987,7 @@ WEIGHTED_OPS = {
     "add": lambda x, p: x + p(2, 2, 4, 4),
     "conv2d_standard": lambda x, p: ops.conv2d_standard(x, p(3, 2, 3, 3), 1, 1, p(3)),
     "depthwise_conv": lambda x, p: ops.depthwise_conv(x, p(2, 3, 3), 2, 1),
-    "pointwise_conv": lambda x, p: ops.pointwise_conv(x, p(3, 2, 1, 1), p(3)),
+    "pointwise_conv": lambda x, p: ops.pointwise_conv(x, p(3, 2, 1, 1)),
     "grouped_pointwise": lambda x, p: ops.grouped_pointwise(x, p(2), 2),
     "broadcast_mul_add": lambda x, p: ops.broadcast_mul_add(x, p(2, 1, 4, 4)),
     "channel_concat": lambda x, p: ops.channel_concat([x, p(2, 1, 4, 4)]),
@@ -1031,8 +1034,8 @@ def test_parameter_keeps_dtype_and_aliasing():
     a64, a32 = np.arange(3.0), np.arange(3, dtype=np.float32)
     assert parameter(a64).data is a64 and parameter(a32).data is a32
     for data in ([1, 2], [1.5, 2.0], np.arange(3), 5):
-        p = parameter(data, name="w")
-        assert p.dtype == np.float64 and p.requires_grad and p.name == "w"
+        p = parameter(data)
+        assert p.dtype == np.float64 and p.requires_grad
         np.testing.assert_array_equal(p.data, data)
     assert parameter(a64, dtype=np.float32).dtype == np.float32
     assert parameter([1, 2], dtype=np.float32).dtype == np.float32

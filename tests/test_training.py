@@ -179,8 +179,9 @@ def test_topk_ties_break_toward_lower_class_index():
 
 
 def test_topk_k_above_class_count_rejected():
-    with pytest.raises(ConfigurationError, match="classes"):
-        topk_accuracy(np.zeros((1, 4)), np.zeros(1, dtype=int), 5)
+    for k in (5, 0):
+        with pytest.raises(ConfigurationError, match=rf"k = {k} must be in \[1, 4\] for the 4 classes"):
+            topk_accuracy(np.zeros((1, 4)), np.zeros(1, dtype=int), k)
 
 
 # ---------------------------------------------------------------------------
