@@ -20,7 +20,6 @@ width 1.0) and their attention-modified variants - and can be included with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .errors import ConfigurationError
 from .models import (
@@ -121,8 +120,7 @@ def _fmt(x: float) -> str:
     return s if s else "0"
 
 
-def format_table1(rows: Optional[list[dict]] = None) -> str:
-    rows = rows if rows is not None else table1_rows()
+def format_table1(rows: list[dict]) -> str:
     header = f"{'Attention':<10} | {'Params (x10^3)':>14} | {'MACs (x10^6)':>12} | {'Params (norm.)':>14} | {'MACs (norm.)':>12}"
     lines = [header, "-" * len(header)]
     for r in rows:

@@ -18,7 +18,9 @@ per channel whose input rows are copied in channel blocks of about
 channel-major in k² strided slices, so one GEMM per item writes NCHW
 directly. Training batch-norm centres ``x`` once and scales that copy in
 place into ``x_hat``; its per-channel sums of squares and of ``g * x_hat``
-form no product array.
+form no product array. On glibc, importing the package fixes malloc's mmap
+and trim thresholds, so the large arrays one op frees serve the next op from
+the heap instead of being mapped and faulted in again.
 
 A backward also costs about what its gradient needs. ``depthwise_conv``'s
 runs through the same band as its forward: the input gradient is the band
@@ -98,8 +100,7 @@ def _pad_spatial(x: Array, pad: int, value: float = 0.0, right: int = 0) -> Arra
 # ---------------------------------------------------------------------------
 
 
-def _check_conv(who: str, x: Tensor, weights: Tensor, expect: tuple, stride: int = 1, padding: int = 0,
-                bias: Optional[Tensor] = None) -> None:
+def _check_conv(who: str, x: Tensor, weights: Tensor, expect: tuple, stride: int = 1, padding: int = 0) -> None:
     """``expect`` is the weight shape that fits ``x``; its first extent is the output channel count."""
     if weights.shape != expect:
         raise ConfigurationError(
@@ -107,8 +108,6 @@ def _check_conv(who: str, x: Tensor, weights: Tensor, expect: tuple, stride: int
         )
     if stride < 1 or padding < 0:
         raise ConfigurationError(f"{who}: stride must be >= 1 and padding >= 0, got stride={stride} padding={padding}")
-    if bias is not None and bias.shape != expect[:1]:
-        raise ConfigurationError(f"{who}: bias shape {bias.shape}, expected {expect[:1]}")
 
 
 def conv2d_standard(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 0,
@@ -120,13 +119,16 @@ def conv2d_standard(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 
     position, filled by k² strided slice copies of the padded input. One
     ``np.matmul`` of the ``(n, m * k * k)`` weight matrix with them writes the
     output in NCHW order, and the bias is added in place. The weight gradient
-    is ``np.matmul(g, cols^T)`` summed over the batch; the input gradient adds
-    each tap's share of the output gradient into a zeroed padded array.
+    adds each item's ``g @ cols^T`` into one ``(n, m * k * k)`` accumulator,
+    in batch order; the input gradient adds each tap's share of the output
+    gradient into a zeroed padded array.
     """
     _require_rank4(x, "conv2d_standard")
     b, m, h, w = x.shape
     expect = weights.shape[:1] + (m,) + weights.shape[-1:] * 2  # (n, m, k, k)
-    _check_conv("conv2d_standard", x, weights, expect, stride, padding, bias)
+    _check_conv("conv2d_standard", x, weights, expect, stride, padding)
+    if bias is not None and bias.shape != expect[:1]:
+        raise ConfigurationError(f"conv2d_standard: bias shape {bias.shape}, expected {expect[:1]}")
     n, _, k, _ = weights.shape
     h_out = _out_extent(h, padding, k, stride, "conv2d_standard")
     w_out = _out_extent(w, padding, k, stride, "conv2d_standard")
@@ -153,7 +155,11 @@ def conv2d_standard(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 
         return dxp[:, :, padding : padding + h, padding : padding + w] if padding else dxp
 
     def dw(g: Array) -> Array:
-        return np.matmul(g.reshape(b, n, -1), cols.transpose(0, 2, 1)).sum(axis=0).reshape(weights.shape)
+        g = g.reshape(b, n, -1)
+        acc = g[0] @ cols[0].T
+        for i in range(1, b):
+            acc += g[i] @ cols[i].T
+        return acc.reshape(weights.shape)
 
     return op_result(out.reshape(b, n, h_out, w_out), (x, dx), (weights, dw),
                      (bias, lambda g: g.sum(axis=(0, 2, 3))))

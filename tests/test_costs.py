@@ -121,8 +121,8 @@ def test_table1_display_columns():
 
 
 def test_table1_rendering_is_deterministic():
-    assert format_table1() == format_table1()
-    line = [l for l in format_table1().splitlines() if l.startswith("ULSAM")][0]
+    assert format_table1(table1_rows()) == format_table1(table1_rows())
+    line = [l for l in format_table1(table1_rows()).splitlines() if l.startswith("ULSAM")][0]
     assert [tok.strip() for tok in line.split("|")] == ["ULSAM", "1", "0.2", "1×", "1×"]
 
 
