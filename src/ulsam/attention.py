@@ -18,10 +18,9 @@ after the pool acts on all m channels at once, PW1 with g groups gives the g
 logit maps. The softmax normalises each map over its h*w positions, and
 ``ops.broadcast_mul_add`` scales group k by map k.
 
-``g = m`` degenerates to a per-channel non-linear gate; ``case3_attention``
-evaluates that closed form independently (scalar multiplies instead of
-convolution plumbing) and is the reference the ``g = m`` maps must equal
-bitwise.
+``g = m`` degenerates to a per-channel non-linear gate. The tests evaluate
+that closed form independently (scalar multiplies instead of the grouped
+1x1 stages), and the ``g = m`` maps must equal it bitwise.
 """
 
 from __future__ import annotations
@@ -108,25 +107,3 @@ def _check_input(f: Tensor, cfg: UlsamConfig, weights: UlsamWeights) -> None:
         raise ConfigurationError(
             f"ulsam: weight length {weights.dw.shape[0]} does not match {cfg.channels} channels"
         )
-
-
-def case3_attention(f: Tensor, weights: UlsamWeights) -> Tensor:
-    """Closed form of the g = m degenerate case: per-channel scalar gate.
-
-    Computes softmax(a2 * maxpool(a1 * F_c)) for every channel c with plain
-    scalar multiplies, reusing the same pooling and softmax kernels, so it is
-    bitwise comparable with ``ulsam_attention_maps`` at g = m.
-    """
-    if f.ndim != 4:
-        raise ConfigurationError(f"case3_attention: expected rank-4 input, got shape {f.shape}")
-    b, m, h, w = f.shape
-    if weights.dw.shape != (m,):
-        raise ConfigurationError(f"case3_attention: weights length {weights.dw.shape[0]} != {m} channels (g = m)")
-    a1 = weights.dw.data
-    a2 = weights.pw.data
-    z = Tensor(f.data * a1[None, :, None, None])
-    p = ops.maxpool_3x3_p1(z)
-    logits = p.data * a2[None, :, None, None]
-    # fold channels into the batch extent so the per-channel softmax reuses the kernel
-    s = ops.spatial_softmax(Tensor(logits.reshape(b * m, 1, h, w)))
-    return Tensor(s.data.reshape(b, m, h, w))

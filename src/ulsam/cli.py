@@ -206,7 +206,7 @@ def _dataset_from(cfg: dict) -> training.Dataset:
     raise ConfigurationError(f'field "dataset.kind": expected "synthetic" or "cifar10", got {kind!r}')
 
 
-def _train_config_from(cfg: dict, args) -> training.TrainConfig:
+def _train_config_from(cfg: dict, seed: int) -> training.TrainConfig:
     sched_name = _read(cfg, "train.schedule", "a string", "step")
     if sched_name == "step":
         schedule = training.StepDecay()
@@ -214,9 +214,6 @@ def _train_config_from(cfg: dict, args) -> training.TrainConfig:
         schedule = training.ExpDecay()
     else:
         raise ConfigurationError(f'field "train.schedule": expected "step" or "exp", got {sched_name!r}')
-    seed = _read(cfg, "train.seed", "an integer", 0)
-    if args.seed is not None:
-        seed = args.seed
     return training.TrainConfig(
         lr=_read(cfg, "train.lr", "a number", 0.1),
         schedule=schedule,
@@ -229,14 +226,20 @@ def _train_config_from(cfg: dict, args) -> training.TrainConfig:
     )
 
 
+def _graph_for_dataset(cfg: dict, settings: dict, args) -> tuple[models.ModelGraph, training.Dataset]:
+    """The config's dataset and a graph for it; the head takes the dataset's
+    class count unless the config or the command line sets one."""
+    dataset = _dataset_from(cfg)
+    if "num_classes" not in cfg and args.num_classes is None:
+        settings["num_classes"] = dataset.num_classes
+    return _build_graph(settings), dataset
+
+
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     settings = _model_settings(cfg, args)
-    train_cfg = _train_config_from(cfg, args)
-    dataset = _dataset_from(cfg)
-    if settings["num_classes"] != dataset.num_classes and "num_classes" not in cfg and args.num_classes is None:
-        settings["num_classes"] = dataset.num_classes
-    graph = _build_graph(settings)
+    train_cfg = _train_config_from(cfg, settings["seed"])
+    graph, dataset = _graph_for_dataset(cfg, settings, args)
     out_dir = args.out if args.out else "run"
     history = training.train_loop(graph, dataset, train_cfg, out_dir=out_dir)
     for record in history:
@@ -247,11 +250,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
-    settings = _model_settings(cfg, args)
-    dataset = _dataset_from(cfg)
-    if settings["num_classes"] != dataset.num_classes and "num_classes" not in cfg and args.num_classes is None:
-        settings["num_classes"] = dataset.num_classes
-    graph = _build_graph(settings)
+    graph, dataset = _graph_for_dataset(cfg, _model_settings(cfg, args), args)
     if not Path(args.checkpoint).exists():
         raise ConfigurationError(f"checkpoint {args.checkpoint} does not exist")
     training.load_checkpoint(args.checkpoint, graph)

@@ -4,9 +4,11 @@ All counts are exact integers. "MACs" counts one multiply-accumulate per
 kernel tap of every convolution/FC layer (the usual mobile-CNN convention,
 where this quantity is often labelled FLOPs); normalization, activations,
 pooling, softmax, and the attention block's elementwise redistribution are
-excluded. Spatial extents are the layer's *output* extents. MACs come from
-closed forms, a reference independent of the kernels' own tallies, split by
-the kinds the kernels tally under (standard, depthwise, pointwise, ulsam, fc).
+excluded. MACs come from closed forms, a reference independent of the
+kernels' own tallies: ``flops_sconv`` or ``flops_dws`` applied to each
+convolution that ``models.layer_convs`` lists for a layer, at that conv's
+output extents, split by the kinds the kernels tally under (standard,
+depthwise, pointwise, ulsam, fc).
 Table 1's :func:`attention_overhead` fixes A2Net's maps at m / 8 and the MLP
 reduction at ``REDUCTION`` = 16.
 
@@ -22,15 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
-from .models import (
-    KIND_BOTTLENECK,
-    KIND_CONV,
-    KIND_DWS,
-    KIND_FC,
-    KIND_ULSAM,
-    ModelGraph,
-    spatial_trace,
-)
+from .models import KIND_FC, KIND_ULSAM, ModelGraph, conv_extent, layer_convs, spatial_trace
+from .ops import CONV_DEPTHWISE
 
 # ---------------------------------------------------------------------------
 # closed-form costs
@@ -177,40 +172,20 @@ def analyze_model(graph: ModelGraph, input_hw: int = 224, include_bn_params: boo
     trace = spatial_trace(graph, input_hw)
     rows: list[CostRow] = []
     macs_by_kind: dict[str, int] = {}
-    h_in = w_in = input_hw
-
-    def kind_add(kind: str, n: int) -> None:
-        if n:
-            macs_by_kind[kind] = macs_by_kind.get(kind, 0) + n
-
-    for spec, (h_out, w_out) in zip(graph.layers, trace):
-        macs = 0
-        m, n = spec.in_channels, spec.out_channels
-        if spec.kind == KIND_CONV:
-            macs = flops_sconv(spec.kernel, m, n, h_out, w_out)
-            kind_add("standard", macs)
-        elif spec.kind == KIND_DWS:
-            dw, pw = flops_dws(3, m, n, h_out, w_out)
-            macs = dw + pw
-            kind_add("depthwise", dw)
-            kind_add("pointwise", pw)
-        elif spec.kind == KIND_BOTTLENECK:
-            hidden = m * spec.expansion
-            pw_macs = m * hidden * h_in * w_in if spec.expansion != 1 else 0
-            dw_macs = 9 * hidden * h_out * w_out
-            pw_macs += hidden * n * h_out * w_out
-            macs = dw_macs + pw_macs
-            kind_add("depthwise", dw_macs)
-            kind_add("pointwise", pw_macs)
-        elif spec.kind == KIND_ULSAM:
-            macs = 2 * m * h_out * w_out
-            kind_add("ulsam", macs)
+    for spec, (h, w), (h_out, w_out) in zip(graph.layers, [(input_hw, input_hw)] + trace, trace):
+        tallies = []  # (kind, MACs) of each multiply-accumulate op the layer runs
+        for c in layer_convs(spec):
+            h, w = conv_extent(h, c), conv_extent(w, c)
+            args = (c.kernel, c.cin, c.cout, h, w)
+            tallies.append((c.op, flops_dws(*args)[0] if c.op == CONV_DEPTHWISE else flops_sconv(*args)))
+        if spec.kind == KIND_ULSAM:
+            tallies.append(("ulsam", 2 * spec.in_channels * h_out * w_out))
         elif spec.kind == KIND_FC:
-            macs = m * n
-            kind_add("fc", macs)
-        params = sum(t.size for t in graph.layer_params(spec, include_bn_params))
-        rows.append(CostRow(layer=spec.index, kind=spec.kind, params=int(params), macs=int(macs)))
-        h_in, w_in = h_out, w_out
+            tallies.append(("fc", spec.in_channels * spec.out_channels))
+        for kind, macs in tallies:
+            macs_by_kind[kind] = macs_by_kind.get(kind, 0) + macs
+        rows.append(CostRow(layer=spec.index, kind=spec.kind, macs=sum(macs for _, macs in tallies),
+                            params=sum(t.size for t in graph.layer_params(spec, include_bn_params))))
 
     total_params = sum(r.params for r in rows)
     total_macs = sum(r.macs for r in rows)

@@ -6,6 +6,10 @@ unnumbered pool/fc/softmax tail; V2: 1-20 with the pool between 19 and 20), so
 attention position directives can be written the same way results are
 reported: ``"11"`` substitutes layer 11, ``"8:1"`` inserts after layer 8.
 
+A conv, separable or bottleneck row's convolutions are listed once, by
+:func:`layer_convs`; building, the forward pass, :func:`spatial_trace` and
+``costs.analyze_model`` walk that list, and :func:`conv_extent` sizes them.
+
 Graphs are immutable during a forward pass; training mutates parameters only
 between steps. Batch-norm running statistics are the only buffers and update
 only in training mode.
@@ -16,7 +20,7 @@ from __future__ import annotations
 import contextlib
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -219,37 +223,60 @@ def _prefix(spec: LayerSpec) -> str:
     return spec.index if spec.index in ("fc", "pool", "softmax") else f"L{spec.index}"
 
 
-def _he(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
-    return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
+def _he(rng: np.random.Generator, shape, dtype) -> np.ndarray:
+    return (rng.standard_normal(shape) * np.sqrt(2.0 / np.prod(shape[1:]))).astype(dtype)
+
+
+class Conv(NamedTuple):
+    """One convolution of a layer. ``op`` is the kernel's MAC kind: ``ops.CONV_STANDARD``,
+    ``CONV_DEPTHWISE`` or ``CONV_POINTWISE``; padding is ``kernel // 2``."""
+
+    weight: str
+    op: str
+    cin: int
+    cout: int
+    bn: Optional[str]  # the batch-norm that follows; None when the conv adds ``bias`` instead
+    kernel: int = 1
+    stride: int = 1
+    act: bool = True  # whether the layer's activation follows
+    bias: Optional[str] = None
+
+
+def layer_convs(spec: LayerSpec) -> list[Conv]:
+    """The convolutions a layer runs, in order; none for attention, pool, FC and softmax rows."""
+    p, m, n, k, s = _prefix(spec), spec.in_channels, spec.out_channels, spec.kernel, spec.stride
+    if spec.kind == KIND_CONV:
+        bn, bias = (f"{p}.bn", None) if spec.norm_act else (None, f"{p}.b")
+        return [Conv(f"{p}.w", ops.CONV_STANDARD, m, n, bn, k, s, spec.norm_act, bias)]
+    if spec.kind == KIND_DWS:
+        return [Conv(f"{p}.dw.w", ops.CONV_DEPTHWISE, m, m, f"{p}.bn1", k, s),
+                Conv(f"{p}.pw.w", ops.CONV_POINTWISE, m, n, f"{p}.bn2")]
+    if spec.kind == KIND_BOTTLENECK:
+        t = m * spec.expansion
+        expand = [Conv(f"{p}.exp.w", ops.CONV_POINTWISE, m, t, f"{p}.bn1")] if spec.expansion != 1 else []
+        return expand + [Conv(f"{p}.dw.w", ops.CONV_DEPTHWISE, t, t, f"{p}.bn2", k, s),
+                         Conv(f"{p}.proj.w", ops.CONV_POINTWISE, t, n, f"{p}.bn3", act=False)]
+    if spec.kind in (KIND_ULSAM, KIND_GAP, KIND_FC, KIND_SOFTMAX):
+        return []
+    raise ConfigurationError(f"unknown layer kind {spec.kind!r}")
+
+
+def conv_extent(h: int, conv: Conv) -> int:
+    """Output extent of ``conv`` along an input extent ``h``, as the kernels compute it."""
+    return (h + 2 * (conv.kernel // 2) - conv.kernel) // conv.stride + 1
 
 
 def _init_layer(graph: ModelGraph, spec: LayerSpec, rng: np.random.Generator) -> None:
     p, dt = _prefix(spec), graph.dtype
     add = graph.params.__setitem__
-    if spec.kind == KIND_CONV:
-        k, m, n = spec.kernel, spec.in_channels, spec.out_channels
-        add(f"{p}.w", parameter(_he(rng, (n, m, k, k), m * k * k, dt)))
-        if spec.norm_act:
-            graph._add_bn(f"{p}.bn", n)
+    for c in layer_convs(spec):
+        taps = (c.kernel, c.kernel) if c.op == ops.CONV_DEPTHWISE else (c.cin, c.kernel, c.kernel)
+        add(c.weight, parameter(_he(rng, (c.cout,) + taps, dt)))
+        if c.bn:
+            graph._add_bn(c.bn, c.cout)
         else:
-            add(f"{p}.b", parameter(np.zeros(n, dtype=dt)))
-    elif spec.kind == KIND_DWS:
-        m, n = spec.in_channels, spec.out_channels
-        add(f"{p}.dw.w", parameter(_he(rng, (m, 3, 3), 9, dt)))
-        graph._add_bn(f"{p}.bn1", m)
-        add(f"{p}.pw.w", parameter(_he(rng, (n, m, 1, 1), m, dt)))
-        graph._add_bn(f"{p}.bn2", n)
-    elif spec.kind == KIND_BOTTLENECK:
-        m, n, t = spec.in_channels, spec.out_channels, spec.expansion
-        hidden = m * t
-        if t != 1:
-            add(f"{p}.exp.w", parameter(_he(rng, (hidden, m, 1, 1), m, dt)))
-            graph._add_bn(f"{p}.bn1", hidden)
-        add(f"{p}.dw.w", parameter(_he(rng, (hidden, 3, 3), 9, dt)))
-        graph._add_bn(f"{p}.bn2", hidden)
-        add(f"{p}.proj.w", parameter(_he(rng, (n, hidden, 1, 1), hidden, dt)))
-        graph._add_bn(f"{p}.bn3", n)
-    elif spec.kind == KIND_ULSAM:
+            add(c.bias, parameter(np.zeros(c.cout, dtype=dt)))
+    if spec.kind == KIND_ULSAM:
         cfg = attention.UlsamConfig(spec.in_channels, spec.groups)
         weights = attention.init_ulsam_weights(cfg, rng, dt)
         add(f"{p}.dw", weights.dw)
@@ -258,10 +285,6 @@ def _init_layer(graph: ModelGraph, spec: LayerSpec, rng: np.random.Generator) ->
         f, n = spec.in_channels, spec.out_channels
         add(f"{p}.w", parameter((rng.standard_normal((f, n)) * np.sqrt(1.0 / f)).astype(dt)))
         add(f"{p}.b", parameter(np.zeros(n, dtype=dt)))
-    elif spec.kind in (KIND_GAP, KIND_SOFTMAX):
-        pass
-    else:
-        raise ConfigurationError(f"unknown layer kind {spec.kind!r}")
 
 
 def validate_graph(graph: ModelGraph) -> None:
@@ -353,13 +376,6 @@ def apply_ulsam(graph: ModelGraph, directives: Sequence, g: int) -> ModelGraph:
 # ---------------------------------------------------------------------------
 
 
-def _bn(graph: ModelGraph, name: str, x: Tensor, train: bool) -> Tensor:
-    return ops.batch_norm(
-        x, graph.params[f"{name}.g"], graph.params[f"{name}.b"],
-        graph.buffers[f"{name}.mean"], graph.buffers[f"{name}.var"], train=train,
-    )
-
-
 _ACTS = {"relu": ops.relu, "relu6": ops.relu6}
 
 
@@ -369,32 +385,6 @@ def _layer_forward(graph: ModelGraph, spec: LayerSpec, x: Tensor, train: bool) -
     p = _prefix(spec)
     act = _ACTS[spec.act]
     w = graph.params
-    if spec.kind == KIND_CONV:
-        bias = None if spec.norm_act else w[f"{p}.b"]
-        out = ops.conv2d_standard(x, w[f"{p}.w"], spec.stride, spec.kernel // 2, bias)
-        if spec.norm_act:
-            out = _bn(graph, f"{p}.bn", out, train)
-            out = act(out)
-        return out
-    if spec.kind == KIND_DWS:
-        out = ops.depthwise_conv(x, w[f"{p}.dw.w"], spec.stride, 1)
-        out = _bn(graph, f"{p}.bn1", out, train)
-        out = act(out)
-        out = ops.pointwise_conv(out, w[f"{p}.pw.w"])
-        out = _bn(graph, f"{p}.bn2", out, train)
-        return act(out)
-    if spec.kind == KIND_BOTTLENECK:
-        out = x
-        if spec.expansion != 1:
-            out = ops.pointwise_conv(out, w[f"{p}.exp.w"])
-            out = _bn(graph, f"{p}.bn1", out, train)
-            out = act(out)
-        out = ops.depthwise_conv(out, w[f"{p}.dw.w"], spec.stride, 1)
-        out = _bn(graph, f"{p}.bn2", out, train)
-        out = act(out)
-        out = ops.pointwise_conv(out, w[f"{p}.proj.w"])
-        out = _bn(graph, f"{p}.bn3", out, train)
-        return x + out if spec.has_skip else out
     if spec.kind == KIND_ULSAM:
         cfg = attention.UlsamConfig(spec.in_channels, spec.groups)
         weights = attention.UlsamWeights(graph.params[f"{p}.dw"], graph.params[f"{p}.pw"])
@@ -405,7 +395,20 @@ def _layer_forward(graph: ModelGraph, spec: LayerSpec, x: Tensor, train: bool) -
         return ops.fully_connected(x, graph.params["fc.w"], graph.params["fc.b"])
     if spec.kind == KIND_SOFTMAX:
         return x  # the head emits logits; training.cross_entropy applies the softmax
-    raise ConfigurationError(f"unknown layer kind {spec.kind!r}")
+    out = x
+    for c in layer_convs(spec):
+        if c.op == ops.CONV_STANDARD:
+            out = ops.conv2d_standard(out, w[c.weight], c.stride, c.kernel // 2, w[c.bias] if c.bias else None)
+        elif c.op == ops.CONV_DEPTHWISE:
+            out = ops.depthwise_conv(out, w[c.weight], c.stride, c.kernel // 2)
+        else:
+            out = ops.pointwise_conv(out, w[c.weight])
+        if c.bn:
+            out = ops.batch_norm(out, w[f"{c.bn}.g"], w[f"{c.bn}.b"], graph.buffers[f"{c.bn}.mean"],
+                                 graph.buffers[f"{c.bn}.var"], train=train)
+        if c.act:
+            out = act(out)
+    return x + out if spec.has_skip else out
 
 
 def forward(graph: ModelGraph, x, train: bool = False) -> Tensor:
@@ -441,14 +444,9 @@ def spatial_trace(graph: ModelGraph, input_hw: int = 224) -> list[tuple[int, int
     h = w = input_hw
     trace = []
     for spec in graph.layers:
-        if spec.kind == KIND_CONV:
-            pad = spec.kernel // 2
-            h = (h + 2 * pad - spec.kernel) // spec.stride + 1
-            w = (w + 2 * pad - spec.kernel) // spec.stride + 1
-        elif spec.kind in (KIND_DWS, KIND_BOTTLENECK):
-            h = (h + 2 - 3) // spec.stride + 1
-            w = (w + 2 - 3) // spec.stride + 1
-        elif spec.kind == KIND_GAP:
+        for c in layer_convs(spec):
+            h, w = conv_extent(h, c), conv_extent(w, c)
+        if spec.kind == KIND_GAP:
             h = w = 1
         trace.append((h, w))
     return trace

@@ -337,12 +337,12 @@ def train_loop(
     dataset: Dataset,
     config: TrainConfig,
     out_dir: Optional[Union[str, Path]] = None,
-    eval_dataset: Optional[Dataset] = None,
 ) -> list[dict]:
     """SGD training; returns one history record per epoch.
 
-    Each record holds {epoch, lr, train_loss, top1, top5}; a checkpoint is
-    written every epoch when ``out_dir`` is given, along with history.jsonl.
+    Each record holds {epoch, lr, train_loss, top1, top5}, the accuracies on
+    ``dataset`` after the epoch; a checkpoint is written every epoch when
+    ``out_dir`` is given, along with history.jsonl.
     """
     if graph.num_classes != dataset.num_classes:
         raise ConfigurationError(
@@ -351,7 +351,6 @@ def train_loop(
     rng = np.random.default_rng(config.seed)
     velocities: dict[str, np.ndarray] = {}
     history: list[dict] = []
-    eval_ds = eval_dataset if eval_dataset is not None else dataset
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
@@ -375,7 +374,7 @@ def train_loop(
             loss.backward()
             sgd_step(graph.params, velocities, lr, config.momentum, config.weight_decay)
             losses.append(float(loss.data))
-        metrics = evaluate(graph, eval_ds)
+        metrics = evaluate(graph, dataset)
         record = {
             "epoch": epoch,
             "lr": lr,

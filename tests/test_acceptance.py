@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from test_attention import case3_attention
 from ulsam import attention, costs, gradcheck, models, training
 from ulsam.instrument import count_macs
 from ulsam.tensor import Tensor, parameter
@@ -208,7 +209,7 @@ def test_criterion_4_ulsam_structural_invariants():
     # g = m agrees bitwise with the per-channel closed form
     f = Tensor(rng.normal(size=(2, 5, 4, 4)))
     weights = attention.init_ulsam_weights(attention.UlsamConfig(5, 5), np.random.default_rng(3))
-    closed = attention.case3_attention(f, weights).data
+    closed = case3_attention(f, weights).data
     grouped = attention.ulsam_attention_maps(f, attention.UlsamConfig(5, 5), weights).data
     _expect(failures, np.array_equal(closed, grouped), "g=m path differs from the closed form")
 

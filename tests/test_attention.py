@@ -9,7 +9,6 @@ from ulsam import gradcheck, instrument, ops
 from ulsam.attention import (
     UlsamConfig,
     UlsamWeights,
-    case3_attention,
     init_ulsam_weights,
     ulsam_attention_maps,
     ulsam_forward,
@@ -334,6 +333,28 @@ def test_backward_group_locality_of_gradients():
 # ---------------------------------------------------------------------------
 # g = m closed form
 # ---------------------------------------------------------------------------
+
+
+def case3_attention(f: Tensor, weights: UlsamWeights) -> Tensor:
+    """Closed form of the g = m degenerate case: per-channel scalar gate.
+
+    Computes softmax(a2 * maxpool(a1 * F_c)) for every channel c with plain
+    scalar multiplies, reusing the same pooling and softmax kernels, so it is
+    bitwise comparable with ``ulsam_attention_maps`` at g = m.
+    """
+    if f.ndim != 4:
+        raise ConfigurationError(f"case3_attention: expected rank-4 input, got shape {f.shape}")
+    b, m, h, w = f.shape
+    if weights.dw.shape != (m,):
+        raise ConfigurationError(f"case3_attention: weights length {weights.dw.shape[0]} != {m} channels (g = m)")
+    a1 = weights.dw.data
+    a2 = weights.pw.data
+    z = Tensor(f.data * a1[None, :, None, None])
+    p = ops.maxpool_3x3_p1(z)
+    logits = p.data * a2[None, :, None, None]
+    # fold channels into the batch extent so the per-channel softmax reuses the kernel
+    s = ops.spatial_softmax(Tensor(logits.reshape(b * m, 1, h, w)))
+    return Tensor(s.data.reshape(b, m, h, w))
 
 
 def test_case3_unit_weights_is_pooled_softmax_per_channel():

@@ -131,6 +131,14 @@ def test_gradcheck_fixed_seed_reports_identically(capsys):
     assert a == b
 
 
+def test_gradcheck_json_parses(capsys):
+    code, out, _ = run_cli(["gradcheck", "--format", "json"], capsys)
+    assert code == 0
+    rows = json.loads(out)
+    assert rows[-1]["op"] == "tiny model + attention end-to-end"
+    assert all(r["passed"] is True and r["max_rel_err"] < r["tolerance"] for r in rows)
+
+
 def test_gradcheck_corrupted_backward_fails_naming_op(monkeypatch, capsys):
     from ulsam.tensor import op_result
 

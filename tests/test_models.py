@@ -94,6 +94,29 @@ def test_mv1_rejects_bad_alpha():
         build_mv1(1.5, 10)
 
 
+@pytest.mark.parametrize("graph", [
+    build_mv1(0.5, 10),
+    apply_ulsam(build_mv2(10), ["14", "9:1"], g=4),
+    apply_ulsam(build_mv1_tiny(4), ["5:1"], g=2),
+], ids=["mv1-0.5", "mv2-ulsam", "mv1-tiny-ulsam"])
+def test_layer_convs_name_every_conv_tensor_and_spatial_trace_matches_forward(graph):
+    named = set()
+    for spec in graph.layers:
+        for c in models.layer_convs(spec):
+            taps = (c.kernel, c.kernel) if c.op == ops.CONV_DEPTHWISE else (c.cin, c.kernel, c.kernel)
+            assert graph.params[c.weight].shape == (c.cout,) + taps
+            named |= {c.weight, c.bias} if c.bias else {c.weight, f"{c.bn}.g", f"{c.bn}.b"}
+        if spec.kind in ("ulsam", "fc"):
+            named |= {n for n in graph.params if n.startswith(models._prefix(spec) + ".")}
+    assert named == set(graph.params)
+    # 40 -> 20 -> 10 -> 5 -> 3 -> 2: odd extents exercise the floor division
+    x = Tensor(np.random.default_rng(0).normal(size=(1, 3, 40, 40)))
+    with no_tape():
+        for spec, hw in zip(graph.layers, spatial_trace(graph, 40)):
+            x = models._layer_forward(graph, spec, x, False)
+            assert x.ndim == 2 or x.shape[2:] == hw  # mv1's pool emits (batch, channels)
+
+
 def test_validate_graph_catches_channel_breaks():
     g = build_mv1_tiny(4)
     g.layers[2].in_channels = 99
