@@ -73,10 +73,6 @@ class UlsamWeights:
                 f"ulsam weights must be two equal-length vectors, got {self.dw.shape} and {self.pw.shape}"
             )
 
-    @property
-    def param_count(self) -> int:
-        return int(self.dw.size + self.pw.size)
-
 
 def init_ulsam_weights(cfg: UlsamConfig, rng: np.random.Generator, dtype=np.float64) -> UlsamWeights:
     """Fan-in scaled init: zero-mean normal with variance 2 / G keeps logits O(1)."""

@@ -148,10 +148,6 @@ class CostReport:
     shares: dict[str, float]
     metadata: dict = field(default_factory=dict)
 
-    def rows_for(self, *layer_ids: str) -> list[CostRow]:
-        wanted = set(layer_ids)
-        return [r for r in self.rows if r.layer in wanted]
-
     def to_dict(self) -> dict:
         total = self.total_macs or 1
         return {

@@ -43,11 +43,11 @@ _active: MacCounter | None = None
 
 
 @contextmanager
-def count_macs(counter: MacCounter | None = None):
-    """Activate MAC tallying for the duration of the block; yields the counter."""
+def count_macs(counter: MacCounter):
+    """Activate MAC tallying into ``counter`` for the duration of the block; yields it."""
     global _active
     prev = _active
-    _active = counter if counter is not None else MacCounter()
+    _active = counter
     try:
         yield _active
     finally:

@@ -135,9 +135,9 @@ class Tensor:
         return op_result(self.data + other.data, (self, lambda g: g), (other, lambda g: g))
 
 
-def parameter(data, dtype=None) -> Tensor:
+def parameter(data) -> Tensor:
     """A leaf tensor that wants gradients (model weights)."""
-    return Tensor(np.asarray(data, dtype=dtype), requires_grad=True)
+    return Tensor(data, requires_grad=True)
 
 
 @contextmanager

@@ -189,6 +189,8 @@ def load_cifar10_binary(
     images, labels = [], []
     for path in paths:
         raw = Path(path).read_bytes()
+        if not raw:
+            raise IngestionError(f"{path}: no records (empty file)")
         if len(raw) % _CIFAR_RECORD != 0:
             offset = len(raw) - (len(raw) % _CIFAR_RECORD)
             raise IngestionError(

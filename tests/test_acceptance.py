@@ -15,7 +15,7 @@ import pytest
 
 from test_attention import case3_attention
 from ulsam import attention, costs, gradcheck, models, training
-from ulsam.instrument import count_macs
+from ulsam.instrument import MacCounter, count_macs
 from ulsam.tensor import Tensor, parameter
 
 
@@ -145,7 +145,7 @@ def test_criterion_3_flops_split():
     pw, dw = r.shares["pointwise"], r.shares["depthwise"]
     _expect(failures, abs(pw - 94.86) <= 0.5, f"pointwise share {pw:.3f}% not within 94.86 +- 0.5")
     _expect(failures, abs(dw - 3.06) <= 0.5, f"depthwise share {dw:.3f}% not within 3.06 +- 0.5")
-    mid = sum(row.macs for row in r.rows_for("8", "9", "10", "11", "12"))
+    mid = sum(row.macs for row in r.rows if row.layer in {"8", "9", "10", "11", "12"})
     mid_share = 100.0 * mid / r.total_macs
     _expect(failures, abs(mid_share - 46.0) <= 1.0, f"layers 8-12 share {mid_share:.3f}% not within 46 +- 1")
     _report("criterion 3 (MAC split)", failures)
@@ -176,7 +176,8 @@ def test_criterion_4_ulsam_structural_invariants():
     m = 32
     for g in (1, 2, 4, 8, 16, m):
         weights = attention.init_ulsam_weights(attention.UlsamConfig(m, g), rng)
-        _expect(failures, weights.param_count == 2 * m, f"param count {weights.param_count} != {2 * m} at g={g}")
+        count = weights.dw.size + weights.pw.size
+        _expect(failures, count == 2 * m, f"param count {count} != {2 * m} at g={g}")
 
     # group independence (bitwise): zeroing other groups leaves a group's output unchanged
     m, g, width = 8, 4, 2
@@ -250,7 +251,7 @@ def test_criterion_6_instrumented_mac_equality():
     x = np.zeros((1, 3, 224, 224), dtype=np.float32)
     for name, graph in graphs:
         report = costs.analyze_model(graph, input_hw=224)
-        with count_macs() as counter:
+        with count_macs(MacCounter()) as counter:
             models.forward(graph, x, train=False)
         _expect(failures, counter.by_kind == report.macs_by_kind,
                 f"{name}: per-kind mismatch analytic={report.macs_by_kind} counted={counter.by_kind}")

@@ -260,6 +260,16 @@ def test_missing_dataset_file_exits_2(tmp_path, capsys):
     assert code == 2 and "does not exist" in err
 
 
+def test_empty_dataset_file_exits_2_naming_it(tmp_path, capsys):
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    cfg = tmp_path / "cfg.json"
+    payload = dict(TRAIN_CFG, dataset={"kind": "cifar10", "paths": [str(empty)]})
+    cfg.write_text(json.dumps(payload))
+    code, _, err = run_cli(["train", "--config", str(cfg)], capsys)
+    assert code == 2 and f"{empty}: no records" in err
+
+
 # ---------------------------------------------------------------------------
 # module entry point
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from ulsam.costs import (
     table1_rows,
 )
 from ulsam.errors import ConfigurationError
-from ulsam.instrument import count_macs
+from ulsam.instrument import MacCounter, count_macs
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +162,7 @@ def test_mv1_pointwise_and_depthwise_shares(mv1):
 
 def test_mv1_layers_8_to_12_account_for_46_percent(mv1):
     r = analyze_model(mv1)
-    mid = sum(row.macs for row in r.rows_for("8", "9", "10", "11", "12"))
+    mid = sum(row.macs for row in r.rows if row.layer in {"8", "9", "10", "11", "12"})
     assert 100.0 * mid / r.total_macs == pytest.approx(46.0, abs=1.0)
 
 
@@ -261,7 +261,7 @@ def test_instrumented_macs_match_analytic_exactly_tiny():
     g = models.apply_ulsam(models.build_mv1_tiny(4, width=8, dtype=np.float32, seed=1), ["3", "5:1"], g=4)
     report = analyze_model(g, input_hw=8)
     x = np.random.default_rng(0).standard_normal((1, 3, 8, 8)).astype(np.float32)
-    with count_macs() as counter:
+    with count_macs(MacCounter()) as counter:
         models.forward(g, x, train=False)
     assert counter.by_kind == report.macs_by_kind
     assert counter.total == report.total_macs
@@ -271,7 +271,7 @@ def test_instrumented_macs_match_analytic_mv2_at_64():
     g = models.apply_ulsam(models.build_mv2(10, dtype=np.float32, seed=0), ["14", "17"], g=4)
     report = analyze_model(g, input_hw=64)
     x = np.zeros((1, 3, 64, 64), dtype=np.float32)
-    with count_macs() as counter:
+    with count_macs(MacCounter()) as counter:
         models.forward(g, x, train=False)
     assert counter.by_kind == report.macs_by_kind
 
@@ -279,6 +279,6 @@ def test_instrumented_macs_match_analytic_mv2_at_64():
 def test_counter_scales_linearly_with_batch():
     g = models.build_mv1_tiny(4, width=4, dtype=np.float32, seed=0)
     report = analyze_model(g, input_hw=8)
-    with count_macs() as counter:
+    with count_macs(MacCounter()) as counter:
         models.forward(g, np.zeros((3, 3, 8, 8), dtype=np.float32))
     assert counter.total == 3 * report.total_macs

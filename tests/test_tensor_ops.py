@@ -1037,7 +1037,3 @@ def test_parameter_keeps_dtype_and_aliasing():
         p = parameter(data)
         assert p.dtype == np.float64 and p.requires_grad
         np.testing.assert_array_equal(p.data, data)
-    assert parameter(a64, dtype=np.float32).dtype == np.float32
-    assert parameter([1, 2], dtype=np.float32).dtype == np.float32
-    assert parameter(np.arange(3), dtype=np.int32).dtype == np.float64
-    assert parameter(a32, dtype=np.float64).data is not a32
