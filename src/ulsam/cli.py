@@ -110,6 +110,8 @@ def _model_settings(cfg: dict, args) -> dict:
         raise ConfigurationError(f'field "num_classes": must be >= 1, got {settings["num_classes"]}')
     if settings["g"] < 1:
         raise ConfigurationError(f'field "ulsam.g": must be >= 1, got {settings["g"]}')
+    if settings["seed"] < 0:
+        raise ConfigurationError(f'field "train.seed": must be >= 0, got {settings["seed"]}')
     return settings
 
 
@@ -156,7 +158,10 @@ def cmd_table1(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = gradcheck.run_suite(seed=args.seed if args.seed is not None else 0)
+    seed = args.seed if args.seed is not None else 0
+    if seed < 0:
+        raise ConfigurationError(f"--seed: must be >= 0, got {seed}")
+    results = gradcheck.run_suite(seed=seed)
     lines = []
     failures = []
     for r in results:
@@ -184,11 +189,14 @@ def _dataset_from(cfg: dict) -> training.Dataset:
         raise ConfigurationError('field "dataset": missing (nothing to train or evaluate on)')
     kind = _read(cfg, "dataset.kind", "a string", None)
     if kind == "synthetic":
+        seed = _read(cfg, "dataset.seed", "an integer", 0)
+        if seed < 0:
+            raise ConfigurationError(f'field "dataset.seed": must be >= 0, got {seed}')
         return training.synthetic_dataset(
             classes=_read(cfg, "dataset.classes", "an integer", 4),
             samples=_read(cfg, "dataset.samples", "an integer", 256),
             image_size=_read(cfg, "dataset.image_size", "an integer", 8),
-            seed=_read(cfg, "dataset.seed", "an integer", 0),
+            seed=seed,
             noise=_read(cfg, "dataset.noise", "a number", 0.5),
         )
     if kind == "cifar10":
@@ -198,11 +206,14 @@ def _dataset_from(cfg: dict) -> training.Dataset:
         for p in paths:
             if not Path(p).exists():
                 raise ConfigurationError(f"dataset file {p} does not exist")
-        return training.load_cifar10_binary(
-            paths,
-            mean=_read(cfg, "dataset.mean", "a list of numbers", training.CIFAR10_MEAN),
-            std=_read(cfg, "dataset.std", "a list of numbers", training.CIFAR10_STD),
-        )
+        mean = _read(cfg, "dataset.mean", "a list of numbers", training.CIFAR10_MEAN)
+        std = _read(cfg, "dataset.std", "a list of numbers", training.CIFAR10_STD)
+        for field, values in (("dataset.mean", mean), ("dataset.std", std)):
+            if len(values) != 3:
+                raise ConfigurationError(f'field "{field}": must have 3 entries, one per channel, got {len(values)}')
+        if not all(v > 0 for v in std):
+            raise ConfigurationError(f'field "dataset.std": every entry must be > 0, got {json.dumps(std)}')
+        return training.load_cifar10_binary(paths, mean=mean, std=std)
     raise ConfigurationError(f'field "dataset.kind": expected "synthetic" or "cifar10", got {kind!r}')
 
 

@@ -153,8 +153,7 @@ def _bn_train(x, g, b):
 # ops are looked up at call time, so a patched ``ops`` function is the one checked
 ROWS: list[tuple[str, Callable[..., Tensor], list]] = [
     ("conv2d_standard 1x3x5x5 k3", lambda x, w: ops.conv2d_standard(x, w, 1, 0), [(1, 3, 5, 5), (2, 3, 3, 3)]),
-    ("conv2d_standard 2x3x6x6 k3 s2 p1 bias", lambda x, w, b: ops.conv2d_standard(x, w, 2, 1, b),
-     [(2, 3, 6, 6), (4, 3, 3, 3), (4,)]),
+    ("conv2d_standard 2x3x6x6 k3 s2 p1", lambda x, w: ops.conv2d_standard(x, w, 2, 1), [(2, 3, 6, 6), (4, 3, 3, 3)]),
     ("conv2d_standard 1x2x4x4 k1", lambda x, w: ops.conv2d_standard(x, w, 1, 0), [(1, 2, 4, 4), (3, 2, 1, 1)]),
     ("depthwise_conv 1x2x5x5 k3 p1", lambda x, w: ops.depthwise_conv(x, w, 1, 1), [(1, 2, 5, 5), (2, 3, 3)]),
     ("depthwise_conv 2x3x6x6 k3 s2 p1", lambda x, w: ops.depthwise_conv(x, w, 2, 1), [(2, 3, 6, 6), (3, 3, 3)]),

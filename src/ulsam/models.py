@@ -2,9 +2,10 @@
 
 A graph is an ordered list of :class:`LayerSpec` rows plus a named parameter
 store. Layer indices follow the architecture tables (V1: 1-14 with an
-unnumbered pool/fc/softmax tail; V2: 1-20 with the pool between 19 and 20), so
-attention position directives can be written the same way results are
-reported: ``"11"`` substitutes layer 11, ``"8:1"`` inserts after layer 8.
+unnumbered pool/fc/softmax tail; V2: 1-20 with the pool between 19 and the
+FC classifier 20), so attention position directives can be written the same
+way results are reported: ``"11"`` substitutes layer 11, ``"8:1"`` inserts
+after layer 8.
 
 A conv, separable or bottleneck row's convolutions are listed once, by
 :func:`layer_convs`; building, the forward pass, :func:`spatial_trace` and
@@ -69,7 +70,6 @@ class LayerSpec:
     kernel: int = 3
     expansion: int = 1
     groups: int = 1
-    norm_act: bool = True  # False only on MV2's classifier conv, which has a bias instead
     act: str = "relu"
 
     @property
@@ -176,7 +176,7 @@ def build_mv1(alpha: float = 1.0, num_classes: int = 1000, dtype=np.float64, see
 
 
 def build_mv2(num_classes: int = 1000, dtype=np.float64, seed: int = 0) -> ModelGraph:
-    """MobileNet-V2: inverted residual bottlenecks with a 1x1-conv classifier head."""
+    """MobileNet-V2: inverted residual bottlenecks, a 1x1 conv to 1280 channels, pool/FC head."""
     if num_classes < 1:
         raise ConfigurationError(f"num_classes must be >= 1, got {num_classes}")
     layers = [LayerSpec(KIND_CONV, "1", 3, 32, stride=2, act="relu6")]
@@ -184,7 +184,7 @@ def build_mv2(num_classes: int = 1000, dtype=np.float64, seed: int = 0) -> Model
         layers.append(LayerSpec(KIND_BOTTLENECK, str(i), cin, cout, stride=s, expansion=t, act="relu6"))
     layers.append(LayerSpec(KIND_CONV, "19", 320, 1280, stride=1, kernel=1, act="relu6"))
     layers.append(LayerSpec(KIND_GAP, "pool", 1280, 1280))
-    layers.append(LayerSpec(KIND_CONV, "20", 1280, num_classes, stride=1, kernel=1, norm_act=False))
+    layers.append(LayerSpec(KIND_FC, "20", 1280, num_classes))
     layers.append(LayerSpec(KIND_SOFTMAX, "softmax", num_classes, num_classes))
     return _finish_graph("mv2", 1.0, num_classes, layers, dtype, seed, min_input=32)
 
@@ -235,19 +235,17 @@ class Conv(NamedTuple):
     op: str
     cin: int
     cout: int
-    bn: Optional[str]  # the batch-norm that follows; None when the conv adds ``bias`` instead
+    bn: str  # the batch-norm that follows
     kernel: int = 1
     stride: int = 1
     act: bool = True  # whether the layer's activation follows
-    bias: Optional[str] = None
 
 
 def layer_convs(spec: LayerSpec) -> list[Conv]:
     """The convolutions a layer runs, in order; none for attention, pool, FC and softmax rows."""
     p, m, n, k, s = _prefix(spec), spec.in_channels, spec.out_channels, spec.kernel, spec.stride
     if spec.kind == KIND_CONV:
-        bn, bias = (f"{p}.bn", None) if spec.norm_act else (None, f"{p}.b")
-        return [Conv(f"{p}.w", ops.CONV_STANDARD, m, n, bn, k, s, spec.norm_act, bias)]
+        return [Conv(f"{p}.w", ops.CONV_STANDARD, m, n, f"{p}.bn", k, s)]
     if spec.kind == KIND_DWS:
         return [Conv(f"{p}.dw.w", ops.CONV_DEPTHWISE, m, m, f"{p}.bn1", k, s),
                 Conv(f"{p}.pw.w", ops.CONV_POINTWISE, m, n, f"{p}.bn2")]
@@ -272,10 +270,7 @@ def _init_layer(graph: ModelGraph, spec: LayerSpec, rng: np.random.Generator) ->
     for c in layer_convs(spec):
         taps = (c.kernel, c.kernel) if c.op == ops.CONV_DEPTHWISE else (c.cin, c.kernel, c.kernel)
         add(c.weight, parameter(_he(rng, (c.cout,) + taps, dt)))
-        if c.bn:
-            graph._add_bn(c.bn, c.cout)
-        else:
-            add(c.bias, parameter(np.zeros(c.cout, dtype=dt)))
+        graph._add_bn(c.bn, c.cout)
     if spec.kind == KIND_ULSAM:
         cfg = attention.UlsamConfig(spec.in_channels, spec.groups)
         weights = attention.init_ulsam_weights(cfg, rng, dt)
@@ -330,6 +325,8 @@ def apply_ulsam(graph: ModelGraph, directives: Sequence, g: int) -> ModelGraph:
         if d.target not in numbered:
             raise DirectiveError(f"position directive {d} targets layer {d.target}, which does not exist")
         spec = graph.layers[numbered[d.target]]
+        if spec.kind == KIND_FC:
+            raise DirectiveError(f"directive {d}: layer {d.target} is the classifier, which has no feature map")
         bucket = inserts if d.insert else substitutes
         if d.target in bucket:
             raise DirectiveError(f"duplicate position directive {d}")
@@ -392,20 +389,19 @@ def _layer_forward(graph: ModelGraph, spec: LayerSpec, x: Tensor, train: bool) -
     if spec.kind == KIND_GAP:
         return ops.global_avg_pool(x)
     if spec.kind == KIND_FC:
-        return ops.fully_connected(x, graph.params["fc.w"], graph.params["fc.b"])
+        return ops.fully_connected(x, w[f"{p}.w"], w[f"{p}.b"])
     if spec.kind == KIND_SOFTMAX:
         return x  # the head emits logits; training.cross_entropy applies the softmax
     out = x
     for c in layer_convs(spec):
         if c.op == ops.CONV_STANDARD:
-            out = ops.conv2d_standard(out, w[c.weight], c.stride, c.kernel // 2, w[c.bias] if c.bias else None)
+            out = ops.conv2d_standard(out, w[c.weight], c.stride, c.kernel // 2)
         elif c.op == ops.CONV_DEPTHWISE:
             out = ops.depthwise_conv(out, w[c.weight], c.stride, c.kernel // 2)
         else:
             out = ops.pointwise_conv(out, w[c.weight])
-        if c.bn:
-            out = ops.batch_norm(out, w[f"{c.bn}.g"], w[f"{c.bn}.b"], graph.buffers[f"{c.bn}.mean"],
-                                 graph.buffers[f"{c.bn}.var"], train=train)
+        out = ops.batch_norm(out, w[f"{c.bn}.g"], w[f"{c.bn}.b"], graph.buffers[f"{c.bn}.mean"],
+                             graph.buffers[f"{c.bn}.var"], train=train)
         if c.act:
             out = act(out)
     return x + out if spec.has_skip else out
@@ -430,8 +426,6 @@ def forward(graph: ModelGraph, x, train: bool = False) -> Tensor:
         out = x
         for spec in graph.layers:
             out = _layer_forward(graph, spec, out, train)
-        if out.ndim == 4:
-            out = ops.reshape(out, out.shape[:2])
     return out
 
 

@@ -44,7 +44,7 @@ row-major window order.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -110,25 +110,21 @@ def _check_conv(who: str, x: Tensor, weights: Tensor, expect: tuple, stride: int
         raise ConfigurationError(f"{who}: stride must be >= 1 and padding >= 0, got stride={stride} padding={padding}")
 
 
-def conv2d_standard(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 0,
-                    bias: Optional[Tensor] = None) -> Tensor:
+def conv2d_standard(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Dense cross-correlation over all input channels; ``weights`` is ``(n, m, k, k)``.
 
     The im2col columns are channel-major, ``(b, m * k * k, h_out * w_out)``:
     row ``(c, i, j)`` of item b holds tap (i, j) of channel c at every output
     position, filled by k² strided slice copies of the padded input. One
     ``np.matmul`` of the ``(n, m * k * k)`` weight matrix with them writes the
-    output in NCHW order, and the bias is added in place. The weight gradient
-    adds each item's ``g @ cols^T`` into one ``(n, m * k * k)`` accumulator,
-    in batch order; the input gradient adds each tap's share of the output
-    gradient into a zeroed padded array.
+    output in NCHW order. The weight gradient adds each item's ``g @ cols^T``
+    into one ``(n, m * k * k)`` accumulator, in batch order; the input gradient
+    adds each tap's share of the output gradient into a zeroed padded array.
     """
     _require_rank4(x, "conv2d_standard")
     b, m, h, w = x.shape
     expect = weights.shape[:1] + (m,) + weights.shape[-1:] * 2  # (n, m, k, k)
     _check_conv("conv2d_standard", x, weights, expect, stride, padding)
-    if bias is not None and bias.shape != expect[:1]:
-        raise ConfigurationError(f"conv2d_standard: bias shape {bias.shape}, expected {expect[:1]}")
     n, _, k, _ = weights.shape
     h_out = _out_extent(h, padding, k, stride, "conv2d_standard")
     w_out = _out_extent(w, padding, k, stride, "conv2d_standard")
@@ -142,8 +138,6 @@ def conv2d_standard(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 
     # (n, m*k*k) @ (b, m*k*k, hw): one GEMM per item, straight into NCHW
     out = np.matmul(weights.data.reshape(n, m * k * k), cols)
     instrument.tally(CONV_STANDARD, b * n * h_out * w_out * m * k * k)
-    if bias is not None:
-        out += bias.data[:, None]
 
     def dx(g: Array) -> Array:
         dxp = np.zeros((b, m, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
@@ -161,8 +155,7 @@ def conv2d_standard(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 
             acc += g[i] @ cols[i].T
         return acc.reshape(weights.shape)
 
-    return op_result(out.reshape(b, n, h_out, w_out), (x, dx), (weights, dw),
-                     (bias, lambda g: g.sum(axis=(0, 2, 3))))
+    return op_result(out.reshape(b, n, h_out, w_out), (x, dx), (weights, dw))
 
 
 def _band_layout(k: int, stride: int, w_out: int) -> tuple[int, int, int]:

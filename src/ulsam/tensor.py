@@ -151,19 +151,18 @@ def no_tape() -> Iterator[None]:
         _recording = previous
 
 
-def op_result(data, *grads: tuple[Optional[Tensor], Callable[[Array], Array]]) -> Tensor:
+def op_result(data, *grads: tuple[Tensor, Callable[[Array], Array]]) -> Tensor:
     """An op's output ``data`` together with the gradient rule of each input.
 
     Each of ``grads`` is an ``(input, fn)`` pair: ``fn`` maps the output's
-    gradient to that input's gradient, in the input's shape. A ``None`` input
-    (an absent bias) is skipped. While the tape records and some input needs
-    it, the output is linked to its inputs and gets one backward closure that
-    calls ``fn`` only for the inputs that need the tape and adds each result
-    into that input's ``.grad``. Otherwise the output is a leaf that keeps
-    nothing alive.
+    gradient to that input's gradient, in the input's shape. While the tape
+    records and some input needs it, the output is linked to its inputs and
+    gets one backward closure that calls ``fn`` only for the inputs that need
+    the tape and adds each result into that input's ``.grad``. Otherwise the
+    output is a leaf that keeps nothing alive.
     """
     # an input needs the tape when it wants gradients or was itself recorded
-    taped = [(t, fn) for t, fn in grads if t is not None and (t.requires_grad or t._parents)] if _recording else []
+    taped = [(t, fn) for t, fn in grads if t.requires_grad or t._parents] if _recording else []
     if not taped:
         return Tensor(data)
 
@@ -171,4 +170,4 @@ def op_result(data, *grads: tuple[Optional[Tensor], Callable[[Array], Array]]) -
         for t, fn in taped:
             t.accumulate_grad(fn(g))
 
-    return Tensor(data, parents=(t for t, _ in grads if t is not None), backward=backward)
+    return Tensor(data, parents=(t for t, _ in grads), backward=backward)

@@ -260,6 +260,42 @@ def test_missing_dataset_file_exits_2(tmp_path, capsys):
     assert code == 2 and "does not exist" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--seed", "-1"],
+    ["describe", "--seed", "-1"],
+    ["gradcheck", "--seed", "-1"],
+])
+def test_negative_seed_on_the_command_line_exits_2(argv, capsys):
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2 and "seed" in err and "must be >= 0, got -1" in err
+
+
+@pytest.mark.parametrize("section", ["train", "dataset"])
+def test_negative_seed_in_the_config_exits_2_naming_field(tmp_path, capsys, section):
+    payload = json.loads(json.dumps(TRAIN_CFG))
+    payload[section]["seed"] = -1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    code, _, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "run")], capsys)
+    assert code == 2 and f'field "{section}.seed": must be >= 0, got -1' in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("mean", [0.5, 0.5], "must have 3 entries, one per channel, got 2"),
+    ("std", [0.2, 0.2, 0.2, 0.2], "must have 3 entries, one per channel, got 4"),
+    ("std", [0.2, 0.0, 0.2], "every entry must be > 0"),
+    ("std", [0.2, -0.1, 0.2], "every entry must be > 0"),
+])
+def test_cifar10_channel_statistics_are_checked_naming_field(tmp_path, capsys, key, value, message):
+    record = tmp_path / "one.bin"
+    record.write_bytes(bytes(1 + 3 * 32 * 32))  # one record: label 0, black pixels
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(TRAIN_CFG, dataset={"kind": "cifar10", "paths": [str(record)], key: value})))
+    code, _, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "run")], capsys)
+    assert code == 2 and f'field "dataset.{key}": {message}' in err
+
+
 def test_empty_dataset_file_exits_2_naming_it(tmp_path, capsys):
     empty = tmp_path / "empty.bin"
     empty.write_bytes(b"")

@@ -179,6 +179,15 @@ def test_mv2_reference_totals(mv2):
     assert abs(r.total_macs - 300e6) / 300e6 < 0.02
 
 
+def test_mv2_classifier_macs_are_fc(mv2):
+    # layer 20 runs after the pool, so its 1280 x 1000 multiplies are fc MACs, not a conv's
+    r = analyze_model(mv2)
+    assert r.macs_by_kind["standard"] == 30_908_416
+    assert r.macs_by_kind["fc"] == 1_280_000
+    row = next(row for row in r.rows if row.layer == "20")
+    assert (row.kind, row.macs, row.params) == ("fc", 1_280_000, 1280 * 1000 + 1000)
+
+
 def test_totals_equal_sum_of_rows_exactly(mv1, mv2):
     for g in (mv1, mv2, models.apply_ulsam(mv2, ["14", "17"], 4)):
         r = analyze_model(g)
@@ -191,8 +200,7 @@ def _closed_form_params(spec, bn):
     """One layer's parameter count from its shape alone, independent of the built tensors."""
     m, n = spec.in_channels, spec.out_channels
     if spec.kind == "conv":
-        # a conv without batch-norm has a bias instead
-        return spec.kernel**2 * m * n + (2 * n * bn if spec.norm_act else n)
+        return spec.kernel**2 * m * n + 2 * n * bn
     if spec.kind == "dws":
         return 9 * m + m * n + bn * (2 * m + 2 * n)
     if spec.kind == "bottleneck":

@@ -38,7 +38,7 @@ def test_every_op_of_a_training_step_has_a_row(monkeypatch):
         logits = models.forward(graph, rng.standard_normal((2, 3, 32, 32)), train=True)
         training.cross_entropy(logits, np.array([3, 7])).backward()
     in_models = set(seen)
-    assert {"add", "reshape", "relu", "relu6", "grouped_pointwise"} <= in_models
+    assert {"add", "relu", "relu6", "grouped_pointwise"} <= in_models
 
     seen.clear()
     monkeypatch.setattr(gradcheck, "model_end_to_end", lambda seed=0: 0.0)  # per-op rows only

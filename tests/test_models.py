@@ -105,7 +105,7 @@ def test_layer_convs_name_every_conv_tensor_and_spatial_trace_matches_forward(gr
         for c in models.layer_convs(spec):
             taps = (c.kernel, c.kernel) if c.op == ops.CONV_DEPTHWISE else (c.cin, c.kernel, c.kernel)
             assert graph.params[c.weight].shape == (c.cout,) + taps
-            named |= {c.weight, c.bias} if c.bias else {c.weight, f"{c.bn}.g", f"{c.bn}.b"}
+            named |= {c.weight, f"{c.bn}.g", f"{c.bn}.b"}
         if spec.kind in ("ulsam", "fc"):
             named |= {n for n in graph.params if n.startswith(models._prefix(spec) + ".")}
     assert named == set(graph.params)
@@ -214,6 +214,20 @@ def test_group_count_must_divide_target_channels():
     base = build_mv2(10, dtype=np.float32)
     with pytest.raises(DirectiveError, match="divide"):
         apply_ulsam(base, ["14"], g=5)  # 96 channels
+
+
+def test_mv2_head_is_pool_then_fully_connected():
+    g = build_mv2(10, dtype=np.float32)
+    assert [(s.kind, s.index) for s in g.layers[-4:]] == [
+        ("conv", "19"), ("gap", "pool"), ("fc", "20"), ("softmax", "softmax")]
+    assert g.params["L20.w"].shape == (1280, 10) and g.params["L20.b"].shape == (10,)
+    assert sorted(g.numbered()) == list(range(1, 21))
+
+
+@pytest.mark.parametrize("directive", ["20:1", "20"])
+def test_no_block_goes_at_the_classifier(directive):
+    with pytest.raises(DirectiveError, match="layer 20 is the classifier"):
+        apply_ulsam(build_mv2(10, dtype=np.float32), [directive], 4)
 
 
 def test_mv2_substitution_removes_whole_bottleneck():

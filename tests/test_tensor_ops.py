@@ -66,7 +66,7 @@ def test_conv2d_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
-def _conv2d_row_major_im2col(x, w, stride, padding, bias=None):
+def _conv2d_row_major_im2col(x, w, stride, padding):
     """The earlier conv2d_standard forward: (b*hw, m*k*k) window rows, one GEMM with the weights transposed."""
     b, m, h, wd = x.shape
     n, _, k, _ = w.shape
@@ -74,8 +74,6 @@ def _conv2d_row_major_im2col(x, w, stride, padding, bias=None):
     win = sliding_window_view(ops._pad_spatial(x, padding), (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
     cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(b * h_out * w_out, m * k * k)
     out = cols @ w.reshape(n, m * k * k).T
-    if bias is not None:
-        out = out + bias[None, :]
     return np.ascontiguousarray(out.reshape(b, h_out, w_out, n).transpose(0, 3, 1, 2))
 
 
@@ -95,16 +93,14 @@ def _conv2d_float64(x, w, stride, padding):
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("padding", [0, 1])
-@pytest.mark.parametrize("bias", [False, True])
-def test_conv2d_forward_is_bitwise_the_row_major_im2col(k, stride, padding, bias):
+def test_conv2d_forward_is_bitwise_the_row_major_im2col(k, stride, padding):
     # three input channels, as in every model's first layer: the GEMM's inner
     # extent (m*k*k <= 27) is reduced in the same order in either orientation
     rng = np.random.default_rng(31)
     x = rng.normal(size=(2, 3, 9, 9)).astype(np.float32)
     w = rng.normal(size=(8, 3, k, k)).astype(np.float32)
-    b = rng.normal(size=8).astype(np.float32) if bias else None
-    out = ops.conv2d_standard(Tensor(x), Tensor(w), stride, padding, None if b is None else Tensor(b))
-    expect = _conv2d_row_major_im2col(x, w, stride, padding, b)
+    out = ops.conv2d_standard(Tensor(x), Tensor(w), stride, padding)
+    expect = _conv2d_row_major_im2col(x, w, stride, padding)
     assert out.data.flags.c_contiguous and out.dtype == np.float32
     np.testing.assert_array_equal(out.data, expect)
 
@@ -117,11 +113,10 @@ def test_conv2d_forward_matches_row_major_im2col_to_rounding(shape, n):
     rng = np.random.default_rng(32)
     x = rng.normal(size=shape).astype(np.float32)
     w = rng.normal(size=(n, shape[1], 1, 1)).astype(np.float32)
-    b = rng.normal(size=n).astype(np.float32)
-    out = ops.conv2d_standard(Tensor(x), Tensor(w), 1, 0, Tensor(b)).data
-    expect = _conv2d_float64(x, w, 1, 0) + b[None, :, None, None]
+    out = ops.conv2d_standard(Tensor(x), Tensor(w), 1, 0).data
+    expect = _conv2d_float64(x, w, 1, 0)
     scale = np.abs(expect).max()
-    old_err = np.abs(_conv2d_row_major_im2col(x, w, 1, 0, b) - expect).max() / scale
+    old_err = np.abs(_conv2d_row_major_im2col(x, w, 1, 0) - expect).max() / scale
     assert np.abs(out - expect).max() / scale <= max(4 * old_err, 1e-6)
 
 
@@ -424,12 +419,6 @@ def test_conv_kernels_reject_bad_stride_or_padding(stride, padding):
         ops.conv2d_standard(x, t(np.zeros((2, 3, 3, 3))), stride, padding)
     with pytest.raises(ConfigurationError, match="stride must be >= 1 and padding >= 0"):
         ops.depthwise_conv(x, t(np.zeros((3, 3, 3))), stride, padding)
-
-
-def test_conv_kernels_check_bias_length():
-    x = t(np.zeros((1, 3, 4, 4)))
-    with pytest.raises(ConfigurationError, match="bias shape"):
-        ops.conv2d_standard(x, t(np.zeros((2, 3, 3, 3))), bias=t(np.zeros(3)))
 
 
 @pytest.mark.parametrize("kernel,wshape", [
@@ -959,7 +948,7 @@ def _never(g):
 
 def test_op_result_asks_only_inputs_that_need_the_tape():
     w, x = parameter(np.ones(3)), Tensor(np.ones(3))
-    out = op_result(np.zeros(3), (x, _never), (None, _never), (w, lambda g: 2.0 * g))
+    out = op_result(np.zeros(3), (x, _never), (w, lambda g: 2.0 * g))
     assert out._parents == (x, w)
     out.backward(np.array([1.0, -1.0, 0.5]))
     np.testing.assert_array_equal(w.grad, [2.0, -2.0, 1.0])
@@ -968,7 +957,7 @@ def test_op_result_asks_only_inputs_that_need_the_tape():
 
 def test_op_result_is_a_leaf_without_a_taped_input():
     w, x = parameter(np.ones(3)), Tensor(np.ones(3))
-    leaves = [op_result(np.zeros(3), (x, _never), (None, _never))]
+    leaves = [op_result(np.zeros(3), (x, _never))]
     with no_tape():
         leaves.append(op_result(np.zeros(3), (w, _never)))
     for out in leaves:
@@ -985,7 +974,7 @@ def test_tensor_passed_as_both_inputs_receives_both_gradients():
 # each op on a plain (2, 2, 4, 4) data input ``x``; ``p(*shape)`` makes a parameter
 WEIGHTED_OPS = {
     "add": lambda x, p: x + p(2, 2, 4, 4),
-    "conv2d_standard": lambda x, p: ops.conv2d_standard(x, p(3, 2, 3, 3), 1, 1, p(3)),
+    "conv2d_standard": lambda x, p: ops.conv2d_standard(x, p(3, 2, 3, 3), 1, 1),
     "depthwise_conv": lambda x, p: ops.depthwise_conv(x, p(2, 3, 3), 2, 1),
     "pointwise_conv": lambda x, p: ops.pointwise_conv(x, p(3, 2, 1, 1)),
     "grouped_pointwise": lambda x, p: ops.grouped_pointwise(x, p(2), 2),

@@ -347,6 +347,20 @@ def test_rejected_checkpoint_leaves_graph_unchanged(tmp_path):
             np.testing.assert_array_equal(b, buffers[n])
 
 
+def test_mv2_checkpoint_with_a_conv_classifier_is_rejected(tmp_path):
+    # MV2 checkpoints from builds whose classifier was a 1x1 conv store L20.w as (classes, 1280, 1, 1)
+    old = models.build_mv2(10, dtype=np.float32, seed=1)
+    old.params["L20.w"].data = old.params["L20.w"].data.T.reshape(10, 1280, 1, 1).copy()
+    path = tmp_path / "old_mv2.bin"
+    save_checkpoint(path, old)
+    g = models.build_mv2(10, dtype=np.float32, seed=2)
+    params = {n: p.data.copy() for n, p in g.params.items()}
+    with pytest.raises(CheckpointError, match=r"L20\.w has shape \(10, 1280, 1, 1\), model expects \(1280, 10\)"):
+        load_checkpoint(path, g)
+    for n, p in g.params.items():
+        np.testing.assert_array_equal(p.data, params[n])
+
+
 def test_checkpoint_eval_reproduces_metrics_bitwise(tmp_path):
     ds = synthetic_dataset(4, 64, 8, seed=5)
     g = _tiny_graph(3)
