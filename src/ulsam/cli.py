@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -49,8 +50,15 @@ def load_config(path: str | None) -> dict:
     p = Path(path)
     if not p.exists():
         raise ConfigurationError(f"config file {path} does not exist")
+
+    def finite(text: str) -> float:
+        # Python's json reads NaN, Infinity and -Infinity, and overflows 1e400 to inf
+        if not math.isfinite(float(text)):
+            raise ConfigurationError(f"config file {path} holds {text}; every number must be finite")
+        return float(text)
+
     try:
-        cfg = json.loads(p.read_text())
+        cfg = json.loads(p.read_text(), parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError as e:
         raise ConfigurationError(f"config file {path} is not valid JSON: {e}") from None
     if not isinstance(cfg, dict):
@@ -79,15 +87,18 @@ _JSON_TYPES = {
 }
 
 
-def _read(cfg: dict, field: str, kind: str, default):
+def _read(cfg: dict, field: str, kind: str, default, low=None):
     """The config value at ``field`` ("key" or "section.key"), which must have
-    the JSON type ``kind``; ``default`` when the field is absent."""
+    the JSON type ``kind`` and, given ``low``, be at least ``low``; ``default``
+    when the field is absent."""
     *section, key = field.split(".")
     body = cfg.get(section[0], {}) if section else cfg
     if key not in body:
         return default
     if not _JSON_TYPES[kind](body[key]):
         raise ConfigurationError(f'field "{field}": must be {kind}, got {json.dumps(body[key])}')
+    if low is not None and body[key] < low:
+        raise ConfigurationError(f'field "{field}": must be >= {low}, got {body[key]}')
     return float(body[key]) if kind == "a number" else body[key]
 
 
@@ -189,14 +200,11 @@ def _dataset_from(cfg: dict) -> training.Dataset:
         raise ConfigurationError('field "dataset": missing (nothing to train or evaluate on)')
     kind = _read(cfg, "dataset.kind", "a string", None)
     if kind == "synthetic":
-        seed = _read(cfg, "dataset.seed", "an integer", 0)
-        if seed < 0:
-            raise ConfigurationError(f'field "dataset.seed": must be >= 0, got {seed}')
         return training.synthetic_dataset(
             classes=_read(cfg, "dataset.classes", "an integer", 4),
             samples=_read(cfg, "dataset.samples", "an integer", 256),
-            image_size=_read(cfg, "dataset.image_size", "an integer", 8),
-            seed=seed,
+            image_size=_read(cfg, "dataset.image_size", "an integer", 8, low=1),
+            seed=_read(cfg, "dataset.seed", "an integer", 0, low=0),
             noise=_read(cfg, "dataset.noise", "a number", 0.5),
         )
     if kind == "cifar10":
@@ -362,10 +370,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UlsamError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (UlsamError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

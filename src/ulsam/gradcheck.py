@@ -111,7 +111,8 @@ def well_separated_windows(rng: np.random.Generator, shape) -> np.ndarray:
     for _ in range(64):
         x = rng.standard_normal(shape)
         b, c, h, w = x.shape
-        win = sliding_window_view(ops._pad_spatial(x, 1, -np.inf), (3, 3), axis=(2, 3)).reshape(b, c, h, w, 9)
+        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), constant_values=-np.inf)
+        win = sliding_window_view(xp, (3, 3), axis=(2, 3)).reshape(b, c, h, w, 9)
         srt = np.sort(win, axis=-1)
         margin = srt[..., -1] - srt[..., -2]
         if np.all((margin > GAP) | ~np.isfinite(srt[..., -2])):

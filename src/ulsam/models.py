@@ -261,7 +261,7 @@ def layer_convs(spec: LayerSpec) -> list[Conv]:
 
 def conv_extent(h: int, conv: Conv) -> int:
     """Output extent of ``conv`` along an input extent ``h``, as the kernels compute it."""
-    return (h + 2 * (conv.kernel // 2) - conv.kernel) // conv.stride + 1
+    return ops._out_extent(h, conv.kernel // 2, conv.kernel, conv.stride, conv.weight)
 
 
 def _init_layer(graph: ModelGraph, spec: LayerSpec, rng: np.random.Generator) -> None:
@@ -447,13 +447,13 @@ def spatial_trace(graph: ModelGraph, input_hw: int = 224) -> list[tuple[int, int
 
 
 def build_model(arch: str, alpha: float = 1.0, num_classes: int = 1000, dtype=np.float64, seed: int = 0) -> ModelGraph:
-    """Dispatch on architecture name ("mv1", "mv2", "mv1-tiny")."""
+    """Dispatch on architecture name ("mv1", "mv2", "mv1-tiny"); only mv1 takes a width multiplier ``alpha``."""
+    if arch not in ("mv1", "mv2", "mv1-tiny"):
+        raise ConfigurationError(f'field "arch": unknown architecture {arch!r} (expected "mv1", "mv2", or "mv1-tiny")')
+    if arch != "mv1" and alpha != 1.0:
+        raise ConfigurationError(f'field "alpha": {arch} supports only alpha = 1.0, got {alpha}')
     if arch == "mv1":
         return build_mv1(alpha=alpha, num_classes=num_classes, dtype=dtype, seed=seed)
     if arch == "mv2":
-        if alpha != 1.0:
-            raise ConfigurationError(f'field "alpha": mv2 supports only alpha = 1.0, got {alpha}')
         return build_mv2(num_classes=num_classes, dtype=dtype, seed=seed)
-    if arch == "mv1-tiny":
-        return build_mv1_tiny(num_classes=num_classes, dtype=dtype, seed=seed)
-    raise ConfigurationError(f'field "arch": unknown architecture {arch!r} (expected "mv1", "mv2", or "mv1-tiny")')
+    return build_mv1_tiny(num_classes=num_classes, dtype=dtype, seed=seed)

@@ -85,14 +85,22 @@ def _out_extent(h: int, pad: int, k: int, stride: int, who: str) -> int:
     return span // stride + 1
 
 
-def _pad_spatial(x: Array, pad: int, value: float = 0.0, right: int = 0) -> Array:
-    """``x`` with ``pad`` cells of ``value`` on every spatial side and ``right`` more columns on the right."""
-    if pad == 0 and right == 0:
-        return np.ascontiguousarray(x)
-    b, c, h, w = x.shape
-    xp = np.full((b, c, h + 2 * pad, w + 2 * pad + right), value, dtype=x.dtype)
-    xp[:, :, pad : pad + h, pad : pad + w] = x
-    return xp
+def _place(a: Array, offset: int, height: int, width: int, stride: int = 1, value: float = 0.0) -> Array:
+    """``a``'s cell (i, j) at ``(offset + stride * i, offset + stride * j)`` of a ``value``-filled height x width.
+
+    Cells that land outside, negative offsets included, are dropped; an ``a`` that already fits comes back as
+    ``np.ascontiguousarray(a)``, uncopied when it is contiguous.
+    """
+    if offset == 0 and stride == 1 and a.shape[2:] == (height, width):
+        return np.ascontiguousarray(a)
+    first = -(-max(0, -offset) // stride)  # the first index placed at or after 0
+    start = offset + stride * first
+    rows = max(0, min(a.shape[2] - first, -(-(height - start) // stride)))
+    cols = max(0, min(a.shape[3] - first, -(-(width - start) // stride)))
+    out = np.full(a.shape[:2] + (height, width), value, dtype=a.dtype)
+    out[:, :, start : start + stride * rows : stride, start : start + stride * cols : stride] = \
+        a[:, :, first : first + rows, first : first + cols]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +137,7 @@ def conv2d_standard(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 
     h_out = _out_extent(h, padding, k, stride, "conv2d_standard")
     w_out = _out_extent(w, padding, k, stride, "conv2d_standard")
 
-    xp = _pad_spatial(x.data, padding)
+    xp = _place(x.data, padding, h + 2 * padding, w + 2 * padding)
     cols = np.empty((b, m, k, k, h_out, w_out), dtype=xp.dtype)
     for i in range(k):
         for j in range(k):
@@ -146,7 +154,7 @@ def conv2d_standard(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 
                 # (b,n,ho,wo) x (n,m) -> (b,ho,wo,m)
                 contrib = np.tensordot(g, weights.data[:, :, i, j], axes=([1], [0])).transpose(0, 3, 1, 2)
                 dxp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += contrib
-        return dxp[:, :, padding : padding + h, padding : padding + w] if padding else dxp
+        return _place(dxp, -padding, h, w)
 
     def dw(g: Array) -> Array:
         g = g.reshape(b, n, -1)
@@ -158,26 +166,24 @@ def conv2d_standard(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 
     return op_result(out.reshape(b, n, h_out, w_out), (x, dx), (weights, dw))
 
 
-def _band_layout(k: int, stride: int, w_out: int) -> tuple[int, int, int]:
-    """``(tile, tiles, span)`` of the banded correlation that makes ``w_out`` output columns."""
+def _band_layout(k: int, stride: int, w_out: int) -> tuple[int, int, int, int]:
+    """``(tile, tiles, span, reach)`` of the band that makes ``w_out`` output columns from ``reach`` input columns."""
     tile = min(DEPTHWISE_TILE, w_out)
-    return tile, -(-w_out // tile), stride * (tile - 1) + k
+    tiles = -(-w_out // tile)
+    return tile, tiles, stride * (tile - 1) + k, stride * (tile * tiles - 1) + k
 
 
-def _band_reach(k: int, stride: int, w_out: int) -> int:
-    """Padded input columns that :func:`_band_correlate` reads for ``w_out`` outputs, right margin included."""
-    tile, tiles, _ = _band_layout(k, stride, w_out)
-    return stride * (tile * tiles - 1) + k
+def _tile_rows(a: Array, k: int, stride: int, h_out: int, w_out: int, offset: int, dilation: int = 1) -> Array:
+    """Strided ``(b, m, h_out, tiles, k, span)`` view of the band's tile rows over ``a``.
 
-
-def _tile_rows(xp: Array, k: int, stride: int, h_out: int, w_out: int) -> Array:
-    """Strided ``(b, m, h_out, tiles, k, span)`` view of the band's tile rows over a contiguous padded array.
-
-    Like every strided view of the band it is built by ``np.ndarray`` over
-    the array's buffer, which raises if the view would reach past its end.
+    ``a`` is placed at ``offset`` with ``dilation`` into the zeroed rows and
+    columns the tile rows read. Like every strided view of the band it is
+    built by ``np.ndarray`` over that buffer, which raises if the view would
+    reach past its end.
     """
-    b, m, _, _ = xp.shape
-    tile, tiles, span = _band_layout(k, stride, w_out)
+    b, m, _, _ = a.shape
+    tile, tiles, span, reach = _band_layout(k, stride, w_out)
+    xp = _place(a, offset, stride * (h_out - 1) + k, reach, dilation)
     s0, s1, s2, s3 = xp.strides
     return np.ndarray((b, m, h_out, tiles, k, span), xp.dtype, buffer=xp,
                       strides=(s0, s1, s2 * stride, s3 * stride * tile, s2, s3))
@@ -188,47 +194,32 @@ def _block_channels(m: int, channel_bytes: int) -> int:
     return min(m, max(1, CHANNEL_BLOCK_BYTES // channel_bytes))
 
 
-def _band_correlate(xp: Array, kernel: Array, stride: int, h_out: int, w_out: int) -> Array:
-    """Per-channel cross-correlation of a padded ``(b, m, ., .)`` array with ``kernel`` ``(m, k, k)``.
+def _band_correlate(a: Array, kernel: Array, stride: int, h_out: int, w_out: int, offset: int,
+                    dilation: int = 1) -> Array:
+    """Per-channel cross-correlation of ``a`` ``(b, m, ., .)``, placed as :func:`_tile_rows` places it, with ``kernel``.
 
-    ``xp`` holds at least ``stride * (h_out - 1) + k`` rows and
-    ``_band_reach(k, stride, w_out)`` columns. The result is the banded GEMM
-    that :func:`depthwise_conv` describes, one ``np.matmul`` per channel block.
+    ``kernel`` is ``(m, k, k)``. The result is the banded GEMM that
+    :func:`depthwise_conv` describes, one ``np.matmul`` per channel block.
     """
-    b, m, _, _ = xp.shape
+    b, m, _, _ = a.shape
     k = kernel.shape[-1]
-    tile, tiles, span = _band_layout(k, stride, w_out)
-    rows = _tile_rows(xp, k, stride, h_out, w_out)
-    dtype = np.result_type(xp, kernel)
+    tile, tiles, span, _ = _band_layout(k, stride, w_out)
+    rows = _tile_rows(a, k, stride, h_out, w_out, offset, dilation)
+    dtype = np.result_type(rows, kernel)
     band = np.zeros((m, k, span, tile), dtype=dtype)
     s0, s1, s2, s3 = band.strides
     # band[c, i, stride * n + j, n] for every tap (i, j) and tile column n
     np.ndarray((m, k, k, tile), dtype, buffer=band, strides=(s0, s1, s2, stride * s2 + s3))[...] = kernel[..., None]
     band = band.reshape(m, k * span, tile)
     wide = np.empty((b, m, h_out * tiles, tile), dtype=dtype)
-    step = _block_channels(m, b * h_out * tiles * k * span * xp.itemsize)
-    a = np.empty((b, step, h_out, tiles, k, span), dtype=xp.dtype)
+    step = _block_channels(m, b * h_out * tiles * k * span * rows.itemsize)
+    block_rows = np.empty((b, step, h_out, tiles, k, span), dtype=rows.dtype)
     for c in range(0, m, step):
-        block = a[:, : m - c]
+        block = block_rows[:, : m - c]
         np.copyto(block, rows[:, c : c + step])
         np.matmul(block.reshape(b, -1, h_out * tiles, k * span), band[c : c + step], out=wide[:, c : c + step])
     wide = wide.reshape(b, m, h_out, tiles * tile)
     return wide if tiles * tile == w_out else np.ascontiguousarray(wide[..., :w_out])
-
-
-def _dilate(g: Array, stride: int, offset: int, height: int, width: int) -> Array:
-    """``g``'s cell (i, j) at ``(offset + stride * i, offset + stride * j)`` of a zeroed ``(b, m, height, width)``.
-
-    Cells that land outside the array are dropped.
-    """
-    first = -(-max(0, -offset) // stride)  # the first index placed at or after 0
-    start = offset + stride * first
-    rows = max(0, min(g.shape[2] - first, -(-(height - start) // stride)))
-    cols = max(0, min(g.shape[3] - first, -(-(width - start) // stride)))
-    out = np.zeros(g.shape[:2] + (height, width), dtype=g.dtype)
-    out[:, :, start : start + stride * rows : stride, start : start + stride * cols : stride] = \
-        g[:, :, first : first + rows, first : first + cols]
-    return out
 
 
 def depthwise_conv(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -239,10 +230,12 @@ def depthwise_conv(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 0
     narrower); the k input rows by ``stride * (T - 1) + k`` input columns
     under a tile form one row of ``A``. Channel c's band ``B_c`` has
     shape ``(k * span, T)`` with ``B_c[i, stride * n + j, n] = w[c, i, j]``, so
-    ``A_c @ B_c`` is that channel's output. ``A`` is copied from a strided
-    view of the padded input (right-padded so the last tile fits) in channel
-    blocks of about ``CHANNEL_BLOCK_BYTES``, and one ``np.matmul`` per block
-    writes into the preallocated output. Each channel runs its own GEMMs, so
+    ``A_c @ B_c`` is that channel's output. ``A`` is copied in channel blocks
+    of about ``CHANNEL_BLOCK_BYTES`` from a strided view of the input, placed
+    into exactly the padded rows and columns the tiles read: a right margin
+    where the last tile reaches past the padded input, a crop where no window
+    reaches its last cells. One ``np.matmul`` per block writes into the
+    preallocated output. Each channel runs its own GEMMs, so
     the result does not depend on the block size. The band's zeros are
     multiplied too, so a non-finite input reaches every output of the tile
     rows whose ``A`` rows hold it (k rows by up to T columns), not only its
@@ -276,23 +269,20 @@ def depthwise_conv(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 0
     h_out = _out_extent(h, padding, k, stride, "depthwise_conv")
     w_out = _out_extent(w, padding, k, stride, "depthwise_conv")
     instrument.tally(CONV_DEPTHWISE, b * m * h_out * w_out * k * k)
-    right = max(0, _band_reach(k, stride, w_out) - (w + 2 * padding))
-    out = _band_correlate(_pad_spatial(x.data, padding, right=right), weights.data, stride, h_out, w_out)
+    out = _band_correlate(x.data, weights.data, stride, h_out, w_out, padding)
 
     def dx(g: Array) -> Array:
-        # the band reads h + k - 1 rows and _band_reach(k, 1, w) columns of the dilated, padded gradient
-        placed = _dilate(g, stride, k - 1 - padding, h + k - 1, _band_reach(k, 1, w))
-        return _band_correlate(placed, weights.data[:, ::-1, ::-1], 1, h, w)
+        # the output gradient, dilated by stride and padded by k - 1 - padding, under the rotated kernel
+        return _band_correlate(g, weights.data[:, ::-1, ::-1], 1, h, w, k - 1 - padding, stride)
 
     def dw(g: Array) -> Array:
         grad = np.empty(weights.shape, dtype=g.dtype)
-        xp = _pad_spatial(x.data, padding, right=right)
-        tile, tiles, span = _band_layout(k, stride, w_out)
-        rows = _tile_rows(xp, k, stride, h_out, w_out).transpose(1, 0, 2, 3, 4, 5)
-        step = _block_channels(m, b * h_out * tiles * k * span * xp.itemsize)
-        a = np.empty((step, b, h_out, tiles, k, span), dtype=xp.dtype)
+        tile, tiles, span, _ = _band_layout(k, stride, w_out)
+        rows = _tile_rows(x.data, k, stride, h_out, w_out, padding).transpose(1, 0, 2, 3, 4, 5)
+        step = _block_channels(m, b * h_out * tiles * k * span * rows.itemsize)
+        a = np.empty((step, b, h_out, tiles, k, span), dtype=rows.dtype)
         gt = np.zeros((step, b, h_out, tiles * tile), dtype=g.dtype)  # columns past w_out stay zero
-        adjoint = np.empty((m, tile, k * span), dtype=np.result_type(xp, g))  # the transposed B_c gradient
+        adjoint = np.empty((m, tile, k * span), dtype=np.result_type(rows, g))  # the transposed B_c gradient
         for c in range(0, m, step):
             n = min(step, m - c)
             np.copyto(a[:n], rows[c : c + n])
@@ -405,7 +395,7 @@ def maxpool_3x3_p1(x: Tensor) -> Tensor:
     b, c, h, w = x.shape
     if h < 1 or w < 1:
         raise ConfigurationError("maxpool_3x3_p1: spatial extents must be >= 1")
-    xp = _pad_spatial(x.data, 1, value=-np.inf)
+    xp = _place(x.data, 1, h + 2, w + 2, value=-np.inf)
     # np.maximum returns its second operand on ties (+0.0 against -0.0), so
     # earlier cells come second and the first maximum in row-major order wins
     rows = np.maximum(np.maximum(xp[..., 2:], xp[..., 1 : w + 1]), xp[..., :w])

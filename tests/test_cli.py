@@ -306,6 +306,51 @@ def test_empty_dataset_file_exits_2_naming_it(tmp_path, capsys):
     assert code == 2 and f"{empty}: no records" in err
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e400", "-1e999"])
+@pytest.mark.parametrize("section, key", [("dataset", "noise"), ("train", "lr")])
+def test_non_finite_number_in_the_config_exits_2_naming_it(tmp_path, capsys, constant, section, key):
+    # Python's json reads the three constants, which JSON does not have, and rounds the last two to inf
+    payload = json.loads(json.dumps(TRAIN_CFG))
+    payload[section][key] = "CONSTANT"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload).replace('"CONSTANT"', constant))
+    code, _, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "run")], capsys)
+    assert code == 2 and f"config file {cfg} holds {constant}; every number must be finite" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("size", [-1, 0])
+def test_image_size_below_one_exits_2_naming_field(tmp_path, capsys, size):
+    payload = json.loads(json.dumps(TRAIN_CFG))
+    payload["dataset"]["image_size"] = size
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    code, _, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "run")], capsys)
+    assert code == 2 and f'field "dataset.image_size": must be >= 1, got {size}' in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["describe", "analyze", "train"])
+@pytest.mark.parametrize("in_config", [True, False])
+def test_alpha_on_mv1_tiny_exits_2_naming_field(tmp_path, capsys, command, in_config):
+    # only mv1 has a width multiplier; mv1-tiny and mv2 reject any other alpha alike
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(TRAIN_CFG, alpha=0.5) if in_config else TRAIN_CFG))
+    argv = [command, "--config", str(cfg)] + ([] if in_config else ["--alpha", "0.5"])
+    code, out, err = run_cli(argv + (["--out", str(tmp_path / "run")] if command == "train" else []), capsys)
+    assert code == 2 and out == ""
+    assert 'field "alpha": mv1-tiny supports only alpha = 1.0, got 0.5' in err
+
+
+def test_train_out_at_an_existing_file_exits_2_naming_it(tmp_path, capsys):
+    cfg, taken = tmp_path / "cfg.json", tmp_path / "taken"
+    cfg.write_text(json.dumps(TRAIN_CFG))
+    taken.write_text("not a directory")
+    code, _, err = run_cli(["train", "--config", str(cfg), "--out", str(taken)], capsys)
+    assert code == 2 and "File exists" in err and str(taken) in err
+    assert taken.read_text() == "not a directory"
+
+
 # ---------------------------------------------------------------------------
 # module entry point
 # ---------------------------------------------------------------------------

@@ -71,7 +71,8 @@ def _conv2d_row_major_im2col(x, w, stride, padding):
     b, m, h, wd = x.shape
     n, _, k, _ = w.shape
     h_out, w_out = (h + 2 * padding - k) // stride + 1, (wd + 2 * padding - k) // stride + 1
-    win = sliding_window_view(ops._pad_spatial(x, padding), (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
     cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(b * h_out * w_out, m * k * k)
     out = cols @ w.reshape(n, m * k * k).T
     return np.ascontiguousarray(out.reshape(b, h_out, w_out, n).transpose(0, 3, 1, 2))
@@ -80,7 +81,7 @@ def _conv2d_row_major_im2col(x, w, stride, padding):
 def _conv2d_float64(x, w, stride, padding):
     """Float64 cross-correlation, one tap at a time."""
     n, _, k, _ = w.shape
-    xp = ops._pad_spatial(x.astype(np.float64), padding)
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     h_out, w_out = (xp.shape[2] - k) // stride + 1, (xp.shape[3] - k) // stride + 1
     out = 0.0
     for i in range(k):
@@ -131,7 +132,7 @@ def test_conv2d_weight_gradient_matches_float64_reference(shape, n, k, stride, p
     out = ops.conv2d_standard(Tensor(x), w, stride, padding)
     g = rng.normal(size=out.shape)
     out.backward(g)
-    xp = ops._pad_spatial(x, padding)
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     h_out, w_out = out.shape[2:]
     expect = np.empty(w.shape)
     for i in range(k):
@@ -139,6 +140,32 @@ def test_conv2d_weight_gradient_matches_float64_reference(shape, n, k, stride, p
             tap = xp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
             expect[:, :, i, j] = np.einsum("bnhw,bmhw->nm", g, tap)
     assert np.abs(w.grad - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+# (offset, stride, height, width) for a 4x5 input: padding, dilation, both,
+# crops from negative offsets (the input gradient of a padded conv), an input
+# cut by the far edges, and one placed wholly outside
+PLACEMENTS = [(1, 1, 6, 7), (0, 2, 9, 11), (2, 3, 12, 15), (-1, 2, 5, 6), (-2, 1, 2, 3), (-1, 1, 3, 3), (5, 1, 4, 5)]
+
+
+@pytest.mark.parametrize("offset,stride,height,width", PLACEMENTS)
+def test_place_puts_each_cell_at_offset_plus_stride_times_its_index(offset, stride, height, width):
+    a = np.random.default_rng(36).normal(size=(2, 3, 4, 5))
+    placed = ops._place(a, offset, height, width, stride, value=-7.0)
+    expect = np.full((2, 3, height, width), -7.0)
+    for i in range(4):
+        for j in range(5):
+            if 0 <= offset + stride * i < height and 0 <= offset + stride * j < width:
+                expect[:, :, offset + stride * i, offset + stride * j] = a[:, :, i, j]
+    assert placed.flags.c_contiguous
+    np.testing.assert_array_equal(placed, expect)
+
+
+def test_place_does_not_copy_an_array_that_already_fits():
+    a = np.random.default_rng(37).normal(size=(2, 3, 4, 5))
+    assert ops._place(a, 0, 4, 5) is a
+    flipped = ops._place(a[..., ::-1], 0, 4, 5)
+    assert flipped.flags.c_contiguous and np.array_equal(flipped, a[..., ::-1])
 
 
 # ---------------------------------------------------------------------------
