@@ -43,6 +43,7 @@ from .errors import (
     ConfigurationError,
     DataError,
     DirectiveError,
+    DivergenceError,
     IngestionError,
     UlsamError,
 )
@@ -66,5 +67,6 @@ __all__ = [
     "IngestionError",
     "DataError",
     "CheckpointError",
+    "DivergenceError",
     "__version__",
 ]

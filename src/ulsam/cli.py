@@ -1,9 +1,9 @@
 """Command-line entry point: analysis, verification, and training workflows.
 
 Exit codes are a stable contract: 0 success, 1 check failure, 2 usage or
-configuration error. Command-line overrides (--g, --positions, --alpha, ...)
-win over the config file. Every subcommand is deterministic given identical
-inputs and seed.
+configuration error (or a training run whose loss turned non-finite).
+Command-line overrides (--g, --positions, --alpha, ...) win over the config
+file. Every subcommand is deterministic given identical inputs and seed.
 
 Config file (JSON)::
 
@@ -59,7 +59,7 @@ def load_config(path: str | None) -> dict:
 
     try:
         cfg = json.loads(p.read_text(), parse_float=finite, parse_constant=finite)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer past Python's digit limit
         raise ConfigurationError(f"config file {path} is not valid JSON: {e}") from None
     if not isinstance(cfg, dict):
         raise ConfigurationError("config root must be a JSON object")
@@ -90,13 +90,17 @@ _JSON_TYPES = {
 def _read(cfg: dict, field: str, kind: str, default, low=None):
     """The config value at ``field`` ("key" or "section.key"), which must have
     the JSON type ``kind`` and, given ``low``, be at least ``low``; ``default``
-    when the field is absent."""
+    when the field is absent. JSON integers may have any size, so each one
+    must also fit a signed 64-bit integer (and then converts to a finite float)."""
     *section, key = field.split(".")
     body = cfg.get(section[0], {}) if section else cfg
     if key not in body:
         return default
     if not _JSON_TYPES[kind](body[key]):
         raise ConfigurationError(f'field "{field}": must be {kind}, got {json.dumps(body[key])}')
+    for v in body[key] if isinstance(body[key], list) else [body[key]]:
+        if isinstance(v, int) and not -2**63 <= v < 2**63:
+            raise ConfigurationError(f'field "{field}": must fit a signed 64-bit integer, got a {v.bit_length()}-bit one')
     if low is not None and body[key] < low:
         raise ConfigurationError(f'field "{field}": must be >= {low}, got {body[key]}')
     return float(body[key]) if kind == "a number" else body[key]

@@ -23,3 +23,7 @@ class DataError(UlsamError):
 
 class CheckpointError(UlsamError):
     """A checkpoint file has a bad magic tag, version, or payload."""
+
+
+class DivergenceError(UlsamError):
+    """Training produced a non-finite loss; the message names the epoch and the step."""

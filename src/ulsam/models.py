@@ -13,7 +13,9 @@ A conv, separable or bottleneck row's convolutions are listed once, by
 
 Graphs are immutable during a forward pass; training mutates parameters only
 between steps. Batch-norm running statistics are the only buffers and update
-only in training mode.
+only in training mode. Inference folds each batch-norm into the weights of
+the conv before it, in a fresh copy per forward, and adds the shift and the
+activation to that conv's output in place.
 """
 
 from __future__ import annotations
@@ -394,16 +396,25 @@ def _layer_forward(graph: ModelGraph, spec: LayerSpec, x: Tensor, train: bool) -
         return x  # the head emits logits; training.cross_entropy applies the softmax
     out = x
     for c in layer_convs(spec):
-        if c.op == ops.CONV_STANDARD:
-            out = ops.conv2d_standard(out, w[c.weight], c.stride, c.kernel // 2)
-        elif c.op == ops.CONV_DEPTHWISE:
-            out = ops.depthwise_conv(out, w[c.weight], c.stride, c.kernel // 2)
+        gamma, beta = w[f"{c.bn}.g"], w[f"{c.bn}.b"]
+        mean, var = graph.buffers[f"{c.bn}.mean"], graph.buffers[f"{c.bn}.var"]
+        weight = w[c.weight]
+        if not train:  # batch-norm's per-output-channel scale, folded into a fresh copy of the weights
+            scale = gamma.data / np.sqrt(var + ops.BN_EPS)
+            weight = Tensor(weight.data * scale.reshape((-1,) + (1,) * (weight.ndim - 1)))
+        if c.op == ops.CONV_POINTWISE:
+            out = ops.pointwise_conv(out, weight)
         else:
-            out = ops.pointwise_conv(out, w[c.weight])
-        out = ops.batch_norm(out, w[f"{c.bn}.g"], w[f"{c.bn}.b"], graph.buffers[f"{c.bn}.mean"],
-                             graph.buffers[f"{c.bn}.var"], train=train)
-        if c.act:
-            out = act(out)
+            conv = ops.conv2d_standard if c.op == ops.CONV_STANDARD else ops.depthwise_conv
+            out = conv(out, weight, c.stride, c.kernel // 2)
+        if train:
+            out = ops.batch_norm(out, gamma, beta, mean, var)
+            if c.act:
+                out = act(out)
+        else:  # the conv's output is the layer's own: add batch-norm's shift, then activate, in place
+            out.data += (beta.data - mean * scale)[:, None, None]
+            if c.act:
+                ops._activate(spec.act, out.data, out=out.data)
     return x + out if spec.has_skip else out
 
 

@@ -7,14 +7,15 @@ forward's locals and returns that input's gradient; ``op_result`` decides
 whether the tape records it and adds the gradients into the inputs.
 Kernels are deterministic (fixed reduction order, no RNG) and never mutate
 their inputs; batch-norm running statistics are the one piece of state, held
-in plain arrays owned by the caller and updated only in training mode.
+in plain arrays owned by the caller and updated by every ``batch_norm`` call.
+``batch_norm`` is a training op: inference folds the running statistics into
+each convolution's weights instead (``models._layer_forward``).
 
 A forward allocates little beyond its output, because an inference pass
-(no tape) never reads what only a backward needs: inference batch-norm is
-one per-channel scale and shift, ``relu``/``relu6`` build their masks in the
-backward from the saved input, and ``depthwise_conv`` runs as a banded GEMM
-per channel whose input rows are copied in channel blocks of about
-``CHANNEL_BLOCK_BYTES``. ``conv2d_standard`` copies its im2col columns
+(no tape) never reads what only a backward needs: ``relu``/``relu6`` build
+their masks in the backward from the saved input, and ``depthwise_conv`` runs
+as a banded GEMM per channel whose input rows are copied in channel blocks of
+about ``CHANNEL_BLOCK_BYTES``. ``conv2d_standard`` copies its im2col columns
 channel-major in k² strided slices, so one GEMM per item writes NCHW
 directly. Training batch-norm centres ``x`` once and scales that copy in
 place into ``x_hat``; its per-channel sums of squares and of ``g * x_hat``
@@ -559,14 +560,17 @@ def fully_connected(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
                      (weight, lambda g: x2d.T @ g), (bias, lambda g: g.sum(axis=0)))
 
 
+def _activate(act: str, a: Array, out: Array | None = None) -> Array:
+    """``a`` through ``"relu"`` or ``"relu6"`` in one pass, into ``out`` if given; ``np.clip`` keeps -0.0 as -0.0."""
+    return np.maximum(a, 0.0, out=out) if act == "relu" else np.clip(a, 0.0, 6.0, out=out)
+
+
 def relu(x: Tensor) -> Tensor:
-    return op_result(np.maximum(x.data, 0.0), (x, lambda g: g * (x.data > 0).astype(g.dtype)))
+    return op_result(_activate("relu", x.data), (x, lambda g: g * (x.data > 0).astype(g.dtype)))
 
 
 def relu6(x: Tensor) -> Tensor:
-    out = np.maximum(x.data, 0.0)
-    np.minimum(out, 6.0, out=out)
-    return op_result(out, (x, lambda g: g * ((x.data > 0) & (x.data < 6)).astype(g.dtype)))
+    return op_result(_activate("relu6", x.data), (x, lambda g: g * ((x.data > 0) & (x.data < 6)).astype(g.dtype)))
 
 
 def _channel_sum(a: Array) -> Array:
@@ -580,13 +584,12 @@ def _channel_dot(a: Array, b: Array) -> Array:
     return np.einsum("bcl,bcl->cl", a.reshape(n, c, -1), b.reshape(n, c, -1)).sum(axis=1)
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Array, running_var: Array,
-               train: bool) -> Tensor:
-    """Per-channel batch normalization over (batch, height, width).
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Array, running_var: Array) -> Tensor:
+    """Training batch normalization over (batch, height, width).
 
-    Training mode uses biased batch statistics and folds them into the running
-    buffers as ``running = BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch``.
-    Its forward takes one per-channel sum for the mean and centres ``x`` once;
+    It uses biased batch statistics and folds them into the running buffers
+    as ``running = BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch``. Its
+    forward takes one per-channel sum for the mean and centres ``x`` once;
     the variance is the per-channel sum of squares of that centred copy,
     which is then scaled in place into ``x_hat``, so the output is
     ``x_hat * gamma + beta``. Its backward takes two per-channel sums of the
@@ -595,28 +598,13 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Array, runn
     dbeta / n)`` with ``scale = gamma * inv_std`` and n the count per channel,
     in four in-place passes over its one output.
 
-    Inference mode normalizes with the running buffers only, folded into
-    ``scale = gamma * inv_std`` and ``shift = beta - mean * scale`` so the
-    output is ``x * scale + shift``: two passes over ``x``. It keeps no
-    ``x_hat``; the gamma gradient builds it when a backward asks for it.
+    Inference never calls this op: ``models`` folds the running statistics
+    into each convolution's weights and finishes that conv's output in place.
     """
     _require_rank4(x, "batch_norm")
     b, c, h, w = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ConfigurationError(f"batch_norm: gamma/beta must have shape ({c},)")
-    if not train:
-        mean = running_mean.astype(x.dtype)
-        inv_std = 1.0 / np.sqrt(running_var.astype(x.dtype) + BN_EPS)
-        scale = (gamma.data * inv_std)[None, :, None, None]
-        out = x.data * scale
-        out += beta.data[None, :, None, None] - mean[None, :, None, None] * scale
-
-        def dgamma_infer(g: Array) -> Array:
-            return (g * ((x.data - mean[None, :, None, None]) * inv_std[None, :, None, None])).sum(axis=(0, 2, 3))
-
-        return op_result(out, (x, lambda g: scale * g), (gamma, dgamma_infer),
-                         (beta, lambda g: g.sum(axis=(0, 2, 3))))
-
     n = b * h * w
     mean = _channel_sum(x.data) / n
     x_hat = x.data - mean[:, None, None]

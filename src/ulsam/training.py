@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import models
-from .errors import CheckpointError, ConfigurationError, DataError, IngestionError
+from .errors import CheckpointError, ConfigurationError, DataError, DivergenceError, IngestionError
 from .tensor import Tensor, op_result
 
 CHECKPOINT_MAGIC = b"ULSM"
@@ -344,7 +344,9 @@ def train_loop(
 
     Each record holds {epoch, lr, train_loss, top1, top5}, the accuracies on
     ``dataset`` after the epoch; a checkpoint is written every epoch when
-    ``out_dir`` is given, along with history.jsonl.
+    ``out_dir`` is given, along with history.jsonl. The first non-finite batch
+    loss raises :class:`DivergenceError` before that epoch's record or
+    checkpoint is written.
     """
     if graph.num_classes != dataset.num_classes:
         raise ConfigurationError(
@@ -373,9 +375,11 @@ def train_loop(
             graph.zero_grads()
             logits = models.forward(graph, batch.astype(graph.dtype), train=True)
             loss = cross_entropy(logits, dataset.labels[idx])
+            losses.append(float(loss.data))
+            if not np.isfinite(losses[-1]):
+                raise DivergenceError(f"epoch {epoch}, step {lo // config.batch_size}: the batch loss is {losses[-1]}")
             loss.backward()
             sgd_step(graph.params, velocities, lr, config.momentum, config.weight_decay)
-            losses.append(float(loss.data))
         metrics = evaluate(graph, dataset)
         record = {
             "epoch": epoch,

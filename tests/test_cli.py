@@ -319,6 +319,42 @@ def test_non_finite_number_in_the_config_exits_2_naming_it(tmp_path, capsys, con
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("train", "lr", 10**400),  # float() of it overflows
+    ("dataset", "samples", 10**30),  # past NumPy's largest array
+    ("dataset", "samples", -2**63 - 1),
+    ("dataset", "noise", 2**63),
+])
+def test_integer_outside_64_bits_in_the_config_exits_2_naming_it(tmp_path, capsys, section, key, value):
+    payload = json.loads(json.dumps(TRAIN_CFG))
+    payload[section][key] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    code, _, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "run")], capsys)
+    assert code == 2
+    assert f'field "{section}.{key}": must fit a signed 64-bit integer, got a {value.bit_length()}-bit one' in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_integer_past_the_digit_limit_in_the_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TRAIN_CFG).replace('"samples": 64', '"samples": 1' + "0" * 5000))
+    code, _, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "run")], capsys)
+    assert code == 2 and f"config file {cfg} is not valid JSON" in err
+
+
+def test_diverging_training_exits_2_naming_epoch_and_step(tmp_path, capsys):
+    payload = json.loads(json.dumps(TRAIN_CFG))
+    payload["train"]["lr"] = 1e30
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "run")], capsys)
+    assert code == 2 and "epoch 0, step 1: the batch loss is nan" in err
+    assert (tmp_path / "run" / "history.jsonl").read_text() == ""
+    assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
+
 @pytest.mark.parametrize("size", [-1, 0])
 def test_image_size_below_one_exits_2_naming_field(tmp_path, capsys, size):
     payload = json.loads(json.dumps(TRAIN_CFG))

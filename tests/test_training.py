@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ulsam import gradcheck, models
-from ulsam.errors import CheckpointError, ConfigurationError, DataError, IngestionError
+from ulsam.errors import CheckpointError, ConfigurationError, DataError, DivergenceError, IngestionError
 from ulsam.tensor import Tensor, parameter
 from ulsam.training import (
     ExpDecay,
@@ -405,6 +405,16 @@ def test_history_written_as_json_lines(tmp_path):
     history = train_loop(g, ds, cfg, out_dir=tmp_path)
     lines = (tmp_path / "history.jsonl").read_text().strip().splitlines()
     assert [json.loads(l) for l in lines] == history
+
+
+def test_non_finite_loss_stops_before_the_epoch_is_recorded(tmp_path):
+    ds = synthetic_dataset(4, 32, 8, seed=2)
+    cfg = TrainConfig(lr=1e30, schedule=StepDecay(), batch_size=16, epochs=2, seed=3)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+        train_loop(_tiny_graph(9), ds, cfg, out_dir=tmp_path)
+    assert str(err.value) == "epoch 0, step 1: the batch loss is nan"
+    assert (tmp_path / "history.jsonl").read_text() == ""
+    assert not (tmp_path / "checkpoint.bin").exists()
 
 
 def test_class_count_mismatch_rejected():
