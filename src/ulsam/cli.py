@@ -204,13 +204,17 @@ def _dataset_from(cfg: dict) -> training.Dataset:
         raise ConfigurationError('field "dataset": missing (nothing to train or evaluate on)')
     kind = _read(cfg, "dataset.kind", "a string", None)
     if kind == "synthetic":
-        return training.synthetic_dataset(
-            classes=_read(cfg, "dataset.classes", "an integer", 4),
-            samples=_read(cfg, "dataset.samples", "an integer", 256),
-            image_size=_read(cfg, "dataset.image_size", "an integer", 8, low=1),
-            seed=_read(cfg, "dataset.seed", "an integer", 0, low=0),
-            noise=_read(cfg, "dataset.noise", "a number", 0.5),
-        )
+        samples = _read(cfg, "dataset.samples", "an integer", 256)
+        image_size = _read(cfg, "dataset.image_size", "an integer", 8, low=1)
+        try:
+            return training.synthetic_dataset(
+                classes=_read(cfg, "dataset.classes", "an integer", 4), samples=samples, image_size=image_size,
+                seed=_read(cfg, "dataset.seed", "an integer", 0, low=0),
+                noise=_read(cfg, "dataset.noise", "a number", 0.5, low=0),
+            )
+        except MemoryError:
+            raise ConfigurationError(f'fields "dataset.samples" ({samples}) and "dataset.image_size" ({image_size}): '
+                                     "the synthetic dataset does not fit in memory") from None
     if kind == "cifar10":
         paths = _read(cfg, "dataset.paths", "a list of strings", None)
         if not paths:

@@ -11,26 +11,25 @@ in plain arrays owned by the caller and updated by every ``batch_norm`` call.
 ``batch_norm`` is a training op: inference folds the running statistics into
 each convolution's weights instead (``models._layer_forward``).
 
-A forward allocates little beyond its output, because an inference pass
-(no tape) never reads what only a backward needs: ``relu``/``relu6`` build
-their masks in the backward from the saved input, and ``depthwise_conv`` runs
-as a banded GEMM per channel whose input rows are copied in channel blocks of
-about ``CHANNEL_BLOCK_BYTES``. ``conv2d_standard`` copies its im2col columns
-channel-major in k² strided slices, so one GEMM per item writes NCHW
-directly. Training batch-norm centres ``x`` once and scales that copy in
+A forward allocates little beyond its output, because an inference pass (no
+tape) never reads what only a backward needs: ``relu``/``relu6`` build their
+masks in the backward from the saved input, and ``depthwise_conv`` runs k
+banded GEMMs per channel block of about ``CHANNEL_BLOCK_BYTES`` over one
+buffer that holds each padded input row once. ``conv2d_standard`` copies its
+im2col columns channel-major in k² strided slices, so one GEMM per item writes
+NCHW directly. Training batch-norm centres ``x`` once and scales that copy in
 place into ``x_hat``; its per-channel sums of squares and of ``g * x_hat``
-form no product array. On glibc, importing the package fixes malloc's mmap
-and trim thresholds, so the large arrays one op frees serve the next op from
-the heap instead of being mapped and faulted in again.
+form no product array. On glibc, importing the package fixes malloc's mmap and
+trim thresholds, so the large arrays one op frees serve the next op from the
+heap instead of being mapped and faulted in again.
 
-A backward also costs about what its gradient needs. ``depthwise_conv``'s
-runs through the same band as its forward: the input gradient is the band
-on the dilated, padded output gradient with the kernel rotated 180 degrees,
-and the weight gradient is the band's adjoint, one GEMM per channel block
-and a sum over each band's diagonals, at every kernel size, 1x1 included.
-Neither keeps the forward's padded input on the tape. Training batch-norm's
-backward takes its two per-channel sums once and builds the input gradient
-from them.
+A backward also costs about what its gradient needs. ``depthwise_conv``'s runs
+through the same band: the input gradient is the band on the output gradient,
+dilated into that buffer, with the kernel rotated 180 degrees, and the weight
+gradient is the band's adjoint, k GEMMs per channel block and a sum over each
+band's diagonals. No array the size of the padded input is made. Training
+batch-norm's backward takes its two per-channel sums once and builds the input
+gradient from them.
 ``maxpool_3x3_p1`` finds each window's first-claimed cell from the forward's
 row maxima, as small column and row indices, and adds the output gradient
 into the claimed cells with one ``np.add.at`` per channel block of about
@@ -45,6 +44,7 @@ row-major window order.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -61,17 +61,16 @@ ULSAM = "ulsam"  # both 1x1 stages of the subspace-attention block, which alone 
 BN_MOMENTUM = 0.9
 BN_EPS = 1e-5
 
-# depthwise_conv's band (forward and backward) computes each output row in
-# tiles of this many columns: one tile's GEMM reads k rows of
-# stride * (tile - 1) + k input columns, so the copy of its rows is about 3.4x
-# the input at k=3, stride 1
+# depthwise_conv's band (forward and backward) computes each output row in tiles of this many
+# columns; a tile reads stride * (tile - 1) + k columns of an input row, so its row buffer
+# holds the padded input about 1.14x at k=3, stride 1
 DEPTHWISE_TILE = 14
 # Kernels that work in channel blocks size each block's temporaries to about
 # this many bytes, so a block stays in cache from one pass over it to the next:
-# depthwise_conv copies its tile rows per block before each GEMM of its forward
-# and of both gradients, and maxpool_3x3_p1's backward builds and scatters its
-# claim indices per block
-CHANNEL_BLOCK_BYTES = 256 << 10
+# depthwise_conv fills its input rows and runs its k GEMMs per block in its
+# forward and both gradients, and maxpool_3x3_p1's backward builds and scatters
+# its claim indices per block
+CHANNEL_BLOCK_BYTES = 1 << 20
 
 
 def _require_rank4(x: Tensor, who: str) -> None:
@@ -86,6 +85,14 @@ def _out_extent(h: int, pad: int, k: int, stride: int, who: str) -> int:
     return span // stride + 1
 
 
+def _span(n: int, offset: int, step: int, extent: int) -> tuple[slice, slice]:
+    """``(source, target)`` slices placing ``n`` cells, index i at ``offset + step * i``, into ``extent`` cells."""
+    first = -(-max(0, -offset) // step)  # the first index placed at or after 0
+    start = offset + step * first
+    count = max(0, min(n - first, -(-(extent - start) // step)))
+    return slice(first, first + count), slice(start, start + step * count, step)
+
+
 def _place(a: Array, offset: int, height: int, width: int, stride: int = 1, value: float = 0.0) -> Array:
     """``a``'s cell (i, j) at ``(offset + stride * i, offset + stride * j)`` of a ``value``-filled height x width.
 
@@ -94,13 +101,9 @@ def _place(a: Array, offset: int, height: int, width: int, stride: int = 1, valu
     """
     if offset == 0 and stride == 1 and a.shape[2:] == (height, width):
         return np.ascontiguousarray(a)
-    first = -(-max(0, -offset) // stride)  # the first index placed at or after 0
-    start = offset + stride * first
-    rows = max(0, min(a.shape[2] - first, -(-(height - start) // stride)))
-    cols = max(0, min(a.shape[3] - first, -(-(width - start) // stride)))
+    rows, cols = _span(a.shape[2], offset, stride, height), _span(a.shape[3], offset, stride, width)
     out = np.full(a.shape[:2] + (height, width), value, dtype=a.dtype)
-    out[:, :, start : start + stride * rows : stride, start : start + stride * cols : stride] = \
-        a[:, :, first : first + rows, first : first + cols]
+    out[:, :, rows[1], cols[1]] = a[:, :, rows[0], cols[0]]
     return out
 
 
@@ -167,27 +170,10 @@ def conv2d_standard(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 
     return op_result(out.reshape(b, n, h_out, w_out), (x, dx), (weights, dw))
 
 
-def _band_layout(k: int, stride: int, w_out: int) -> tuple[int, int, int, int]:
-    """``(tile, tiles, span, reach)`` of the band that makes ``w_out`` output columns from ``reach`` input columns."""
+def _band_layout(k: int, stride: int, h_out: int, w_out: int) -> tuple[int, int, int, int]:
+    """``(tile, tiles, span, q)``: the band's tiles of ``w_out``, input columns per tile, and input rows per phase."""
     tile = min(DEPTHWISE_TILE, w_out)
-    tiles = -(-w_out // tile)
-    return tile, tiles, stride * (tile - 1) + k, stride * (tile * tiles - 1) + k
-
-
-def _tile_rows(a: Array, k: int, stride: int, h_out: int, w_out: int, offset: int, dilation: int = 1) -> Array:
-    """Strided ``(b, m, h_out, tiles, k, span)`` view of the band's tile rows over ``a``.
-
-    ``a`` is placed at ``offset`` with ``dilation`` into the zeroed rows and
-    columns the tile rows read. Like every strided view of the band it is
-    built by ``np.ndarray`` over that buffer, which raises if the view would
-    reach past its end.
-    """
-    b, m, _, _ = a.shape
-    tile, tiles, span, reach = _band_layout(k, stride, w_out)
-    xp = _place(a, offset, stride * (h_out - 1) + k, reach, dilation)
-    s0, s1, s2, s3 = xp.strides
-    return np.ndarray((b, m, h_out, tiles, k, span), xp.dtype, buffer=xp,
-                      strides=(s0, s1, s2 * stride, s3 * stride * tile, s2, s3))
+    return tile, -(-w_out // tile), stride * (tile - 1) + k, h_out + (k - 1) // stride
 
 
 def _block_channels(m: int, channel_bytes: int) -> int:
@@ -195,73 +181,95 @@ def _block_channels(m: int, channel_bytes: int) -> int:
     return min(m, max(1, CHANNEL_BLOCK_BYTES // channel_bytes))
 
 
+@functools.lru_cache
+def _row_fills(h: int, w: int, stride: int, offset: int, dilation: int, phases: int, q: int, tile: int, tiles: int,
+               span: int) -> tuple:
+    """:func:`_row_blocks`' ``(target, source)`` index pairs, one per (phase, tile) that gets cells; kept per layout."""
+    fills = []
+    for p in range(phases):
+        r0 = (p - offset) % stride  # the first input row in phase p
+        phase_rows, rows = _span(len(range(r0, h, stride)), (offset + r0 - p) // stride, dilation, q)
+        first, last = r0 + stride * phase_rows.start, r0 + stride * phase_rows.stop
+        for t in range(tiles):
+            source, cols = _span(w, offset - stride * tile * t, dilation, span)
+            if last > first and cols.stop > cols.start:
+                fills.append(((slice(None), p, slice(None), rows, t, cols),
+                              (slice(None), slice(None), slice(first, last, stride), source)))
+    return tuple(fills)
+
+
+def _row_blocks(a: Array, k: int, stride: int, h_out: int, w_out: int, offset: int, dilation: int, temps: int, dtype):
+    """Yield ``(c, taps, scratch)`` per channel block from c: the band's padded input rows of ``a`` ``(b, m, h, w)``.
+
+    ``a`` sits at ``offset`` with ``dilation`` (one of it and ``stride`` is 1) in padding that is never made.
+    Buffer ``[c, p, item * q + r, t]`` holds tile t's span columns of padded row ``p + stride * r``; ``taps[i]``
+    is the ``(n, b * q * tiles, span)`` view whose row ``item * q + r`` is tap row i of output row r < h_out.
+    ``scratch`` is ``temps`` zeroed ``(n, b, q, tiles * tile)`` arrays; a block takes about ``CHANNEL_BLOCK_BYTES``.
+    """
+    b, m, h, w = a.shape
+    tile, tiles, span, q = _band_layout(k, stride, h_out, w_out)
+    phases, reach = min(stride, k), (k - 1) // stride
+    fills = _row_fills(h, w, stride, offset, dilation, phases, q, tile, tiles, span)
+    step = _block_channels(m, b * q * tiles * (phases * span + temps * tile) * a.itemsize)
+    buffer = np.zeros((step, phases, b * q + reach, tiles, span), dtype=a.dtype)
+    items = buffer[:, :, : b * q].reshape(step, phases, b, q, tiles, span)
+    scratch = np.zeros((temps, step, b, q, tiles * tile), dtype=dtype)
+    for c in range(0, m, step):
+        block, source = items[: m - c], a[:, c : c + step].transpose(1, 0, 2, 3)
+        for target, where in fills:
+            block[target] = source[where]
+        yield c, [buffer[: len(block), i % stride, i // stride : i // stride + b * q].reshape(len(block), -1, span)
+                  for i in range(k)], scratch[:, : len(block)]
+
+
 def _band_correlate(a: Array, kernel: Array, stride: int, h_out: int, w_out: int, offset: int,
                     dilation: int = 1) -> Array:
-    """Per-channel cross-correlation of ``a`` ``(b, m, ., .)``, placed as :func:`_tile_rows` places it, with ``kernel``.
+    """Per-channel cross-correlation of ``a`` ``(b, m, ., .)``, placed by :func:`_row_blocks`, with ``kernel``.
 
-    ``kernel`` is ``(m, k, k)``. The result is the banded GEMM that
-    :func:`depthwise_conv` describes, one ``np.matmul`` per channel block.
+    ``kernel`` is ``(m, k, k)``. Per channel block the first of :func:`depthwise_conv`'s k GEMMs writes an accumulator,
+    each later one is added into it from one temporary, and each item's h_out rows go to the output.
     """
-    b, m, _, _ = a.shape
-    k = kernel.shape[-1]
-    tile, tiles, span, _ = _band_layout(k, stride, w_out)
-    rows = _tile_rows(a, k, stride, h_out, w_out, offset, dilation)
-    dtype = np.result_type(rows, kernel)
+    (b, m), k = a.shape[:2], kernel.shape[-1]
+    tile, tiles, span, _ = _band_layout(k, stride, h_out, w_out)
+    dtype = np.result_type(a, kernel)
     band = np.zeros((m, k, span, tile), dtype=dtype)
     s0, s1, s2, s3 = band.strides
     # band[c, i, stride * n + j, n] for every tap (i, j) and tile column n
     np.ndarray((m, k, k, tile), dtype, buffer=band, strides=(s0, s1, s2, stride * s2 + s3))[...] = kernel[..., None]
-    band = band.reshape(m, k * span, tile)
-    wide = np.empty((b, m, h_out * tiles, tile), dtype=dtype)
-    step = _block_channels(m, b * h_out * tiles * k * span * rows.itemsize)
-    block_rows = np.empty((b, step, h_out, tiles, k, span), dtype=rows.dtype)
-    for c in range(0, m, step):
-        block = block_rows[:, : m - c]
-        np.copyto(block, rows[:, c : c + step])
-        np.matmul(block.reshape(b, -1, h_out * tiles, k * span), band[c : c + step], out=wide[:, c : c + step])
-    wide = wide.reshape(b, m, h_out, tiles * tile)
+    wide = np.empty((b, m, h_out, tiles * tile), dtype=dtype)
+    for c, taps, (acc, term) in _row_blocks(a, k, stride, h_out, w_out, offset, dilation, 2, dtype):
+        n = len(acc)
+        np.matmul(taps[0], band[c : c + n, 0], out=acc.reshape(n, -1, tile))
+        for i in range(1, k):
+            np.matmul(taps[i], band[c : c + n, i], out=term.reshape(n, -1, tile))
+            acc += term
+        wide[:, c : c + n] = acc[:, :, :h_out].transpose(1, 0, 2, 3)
     return wide if tiles * tile == w_out else np.ascontiguousarray(wide[..., :w_out])
 
 
 def depthwise_conv(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Per-channel cross-correlation, ``weights`` ``(m, k, k)``: output channel c depends only on input channel c.
 
-    The forward is a banded GEMM per channel. Each output row is cut into
-    tiles of T = ``DEPTHWISE_TILE`` columns (T = ``w_out`` when the output is
-    narrower); the k input rows by ``stride * (T - 1) + k`` input columns
-    under a tile form one row of ``A``. Channel c's band ``B_c`` has
-    shape ``(k * span, T)`` with ``B_c[i, stride * n + j, n] = w[c, i, j]``, so
-    ``A_c @ B_c`` is that channel's output. ``A`` is copied in channel blocks
-    of about ``CHANNEL_BLOCK_BYTES`` from a strided view of the input, placed
-    into exactly the padded rows and columns the tiles read: a right margin
-    where the last tile reaches past the padded input, a crop where no window
-    reaches its last cells. One ``np.matmul`` per block writes into the
-    preallocated output. Each channel runs its own GEMMs, so
-    the result does not depend on the block size. The band's zeros are
-    multiplied too, so a non-finite input reaches every output of the tile
-    rows whose ``A`` rows hold it (k rows by up to T columns), not only its
-    k x k window: outside the window they are NaN (``0 * inf``), and NumPy
-    warns of an invalid value in ``matmul``.
+    The forward is a banded GEMM per channel and tap row. Each output row is cut into tiles of T =
+    ``DEPTHWISE_TILE`` columns (T = ``w_out`` when the output is narrower); a tile reads span = ``stride * (T - 1)
+    + k`` columns of each of its k input rows, and channel c's band for tap row i, ``B_ci`` ``(span, T)`` with
+    ``B_ci[stride * n + j, n] = w[c, i, j]``, maps them to its outputs. Per channel block of about
+    ``CHANNEL_BLOCK_BYTES``, one buffer holds each padded input row once, the batch inside each channel's rows; tap
+    row i of every output row is one view ``A_ci`` of it, and the output sums ``A_ci @ B_ci`` over i. The result
+    does not depend on the block size. The band's zeros are multiplied too, so a non-finite input reaches every
+    output of the tile rows that read it (k rows by up to T columns), not only its k x k window: outside the window
+    they are NaN (``0 * inf``), and NumPy warns of an invalid value in ``matmul``.
 
-    The backward runs through the same band. The input gradient is the
-    forward's correlation, at stride 1, of the output gradient with the
-    kernel rotated 180 degrees: the gradient is dilated by ``stride`` and
-    padded by ``k - 1 - padding`` (cropped where that is negative) into one
-    zeroed array that also holds the band's right margin. Input rows and
-    columns that no window reaches read only zeros there. The weight gradient
-    is the band's adjoint: per channel block, one ``np.matmul`` of the output
-    gradient's tiles ``G_c`` (zero past ``w_out``) against the tile rows of
-    ``x``, padded again and copied channel-major, gives ``G_c^T A_c``, the
-    transposed gradient of ``B_c``, and ``dw[c, i, j]`` sums its diagonal
-    ``(n, i * span + stride * n + j)`` over n. Neither closure keeps the
-    forward's padded copy of ``x``.
+    The input gradient is that band at stride 1 over the output gradient, dilated by ``stride`` at offset ``k - 1 -
+    padding``, with the kernel rotated 180 degrees. The weight gradient is the band's adjoint: per block and tap
+    row, one ``np.matmul`` of the output gradient's tiles ``G_c`` (zero past ``h_out`` rows per item and past
+    ``w_out``) against ``A_ci`` gives ``G_c^T A_ci``, and ``dw[c, i, j]`` sums its diagonal ``(n, stride * n + j)``
+    over n.
 
-    A non-finite output gradient meets the band's zeros the same way: the
-    input gradient is inf or NaN across the tile rows of ``dx`` whose band
-    reads the cell, with NumPy's ``matmul`` warning. The weight gradient of
-    that cell's channel is non-finite in every tap, as a per-tap sum would
-    make it (``inf * x`` for each input cell under the cell's window, NaN
-    where that cell is zero padding); other channels stay finite.
+    A non-finite output gradient meets the band's zeros the same way: the input gradient is inf or NaN across the
+    tile rows of ``dx`` whose band reads the cell, with NumPy's ``matmul`` warning. The weight gradient of that
+    cell's channel is non-finite in every tap, as a per-tap sum would make it (``inf * x`` for each input cell
+    under the cell's window, NaN where that cell is zero padding); other channels stay finite.
     """
     _require_rank4(x, "depthwise_conv")
     b, m, h, w = x.shape
@@ -278,21 +286,16 @@ def depthwise_conv(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 0
 
     def dw(g: Array) -> Array:
         grad = np.empty(weights.shape, dtype=g.dtype)
-        tile, tiles, span, _ = _band_layout(k, stride, w_out)
-        rows = _tile_rows(x.data, k, stride, h_out, w_out, padding).transpose(1, 0, 2, 3, 4, 5)
-        step = _block_channels(m, b * h_out * tiles * k * span * rows.itemsize)
-        a = np.empty((step, b, h_out, tiles, k, span), dtype=rows.dtype)
-        gt = np.zeros((step, b, h_out, tiles * tile), dtype=g.dtype)  # columns past w_out stay zero
-        adjoint = np.empty((m, tile, k * span), dtype=np.result_type(rows, g))  # the transposed B_c gradient
-        for c in range(0, m, step):
-            n = min(step, m - c)
-            np.copyto(a[:n], rows[c : c + n])
-            gt[:n, ..., :w_out] = g[:, c : c + n].transpose(1, 0, 2, 3)
-            np.matmul(gt[:n].reshape(n, -1, tile).transpose(0, 2, 1), a[:n].reshape(n, -1, k * span),
-                      out=adjoint[c : c + n])
-        a0, a1, a2 = adjoint.strides
-        # adjoint[c, n, i * span + stride * n + j] for every tap (i, j) and tile column n
-        taps = np.ndarray((m, k, k, tile), adjoint.dtype, buffer=adjoint, strides=(a0, span * a2, a2, a1 + stride * a2))
+        tile, _, span, _ = _band_layout(k, stride, h_out, w_out)
+        adjoint = np.empty((m, k, tile, span), dtype=np.result_type(x.data, g))  # the transposed B_ci gradients
+        for c, taps, (gt,) in _row_blocks(x.data, k, stride, h_out, w_out, padding, 1, 1, g.dtype):
+            n = len(gt)
+            gt[..., :h_out, :w_out] = g[:, c : c + n].transpose(1, 0, 2, 3)  # zero past h_out rows and w_out columns
+            for i in range(k):
+                np.matmul(gt.reshape(n, -1, tile).transpose(0, 2, 1), taps[i], out=adjoint[c : c + n, i])
+        a0, a1, a2, a3 = adjoint.strides
+        # adjoint[c, i, n, stride * n + j] for every tap (i, j) and tile column n
+        taps = np.ndarray((m, k, k, tile), adjoint.dtype, buffer=adjoint, strides=(a0, a1, a3, a2 + stride * a3))
         np.sum(taps, axis=-1, out=grad)
         return grad
 

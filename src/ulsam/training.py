@@ -84,8 +84,12 @@ class TrainConfig:
             raise ConfigurationError(f"lr must be > 0, got {self.lr}")
         if not (0.0 <= self.momentum < 1.0):
             raise ConfigurationError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0 or self.batch_size < 1 or self.epochs < 1:
-            raise ConfigurationError("weight_decay must be >= 0; batch_size and epochs >= 1")
+        if self.weight_decay < 0:
+            raise ConfigurationError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.batch_size < 1:
+            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.epochs < 1:
+            raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
 
 
 def sgd_step(

@@ -366,6 +366,29 @@ def test_image_size_below_one_exits_2_naming_field(tmp_path, capsys, size):
     assert not (tmp_path / "run").exists()
 
 
+def test_synthetic_dataset_too_large_to_allocate_exits_2_naming_its_fields(tmp_path, capsys):
+    # 10**15 fits 64 bits, but its label array alone would take 7.11 PiB, so NumPy raises at once
+    payload = json.loads(json.dumps(TRAIN_CFG))
+    payload["dataset"]["samples"] = 10**15
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    code, _, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "run")], capsys)
+    assert code == 2
+    assert 'fields "dataset.samples" (1000000000000000) and "dataset.image_size" (8)' in err
+    assert "does not fit in memory" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_negative_noise_exits_2_naming_field(tmp_path, capsys):
+    payload = json.loads(json.dumps(TRAIN_CFG))
+    payload["dataset"]["noise"] = -1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    code, _, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "run")], capsys)
+    assert code == 2 and 'field "dataset.noise": must be >= 0, got -1' in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command", ["describe", "analyze", "train"])
 @pytest.mark.parametrize("in_config", [True, False])
 def test_alpha_on_mv1_tiny_exits_2_naming_field(tmp_path, capsys, command, in_config):

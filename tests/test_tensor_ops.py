@@ -238,22 +238,23 @@ def depthwise_grads(x, w, g, stride, padding):
     return xt.grad, wt.grad
 
 
-def assert_close_to_reference(grads, refs):
+def assert_close_to_reference(grads, refs, rtol=1e-12):
     for grad, ref in zip(grads, refs):
         assert grad.shape == ref.shape
-        assert np.max(np.abs(grad - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(grad - ref)) <= rtol * np.max(np.abs(ref))
 
 
 def band_channel_bytes(x, out, k, stride):
-    """Bytes of one channel's tile-row copy in the banded forward that maps ``x`` to ``out``."""
+    """Bytes per channel of the banded forward's block that maps ``x`` to ``out``: haloed rows and two temporaries."""
     b, _, h_out, w_out = out.shape
     tile = min(ops.DEPTHWISE_TILE, w_out)
     tiles = -(-w_out // tile)
-    return b * h_out * tiles * k * (stride * (tile - 1) + k) * x.itemsize
+    q = h_out + (k - 1) // stride
+    return b * q * tiles * (min(stride, k) * (stride * (tile - 1) + k) + 2 * tile) * x.itemsize
 
 
-# block budgets in channels' worth of tile-row copy: several blocks with an
-# uneven last one, one channel per block, and less than one channel
+# block budgets in channels' worth of the forward's block: several blocks with
+# an uneven last one, one channel per block, and less than one channel
 @pytest.mark.parametrize("channels_per_block", [3, 1, 0.5])
 @pytest.mark.parametrize("k,stride,padding", [(3, 1, 1), (3, 2, 1), (3, 1, 0), (3, 2, 0), (1, 1, 0), (1, 2, 1)])
 def test_depthwise_window_blocks_match_shifted_reference(monkeypatch, channels_per_block, k, stride, padding):
@@ -279,12 +280,45 @@ def test_depthwise_gradient_blocks_match_shifted_reference(monkeypatch, channels
     out = ops.depthwise_conv(t(x), t(w), stride, padding).data
     g = rng.normal(size=out.shape)
     single = depthwise_grads(x, w, g, stride, padding)
-    # the budget counts the forward's tile-row copy; at 0.5 both closures' blocks hold less than one channel
+    # the budget counts the forward's block; at 0.5 both closures' blocks hold less than one channel
     monkeypatch.setattr(ops, "CHANNEL_BLOCK_BYTES", int(channels_per_block * band_channel_bytes(x, out, k, stride)))
     blocked = depthwise_grads(x, w, g, stride, padding)
     for grad, ref in zip(blocked, single):
         assert grad.tobytes() == ref.tobytes()
     assert_close_to_reference(blocked, shifted_depthwise_grads(x, w, g, stride, padding))
+
+
+# channels per block: one, a partial last block (7 = 3 + 3 + 1), and all of them
+@pytest.mark.parametrize("per_block", [1, 3, 7])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_depthwise_in_set_channel_blocks_matches_shifted_reference(monkeypatch, per_block, stride, dtype, rtol):
+    monkeypatch.setattr(ops, "_block_channels", lambda m, channel_bytes: min(m, per_block))
+    rng = np.random.default_rng(36)
+    x, w = rng.normal(size=(3, 7, 9, 17)).astype(dtype), rng.normal(size=(7, 3, 3)).astype(dtype)
+    out = ops.depthwise_conv(Tensor(x), Tensor(w), stride, 1).data
+    assert out.dtype == dtype
+    assert_close_to_reference([out], [shifted_depthwise(x.astype(np.float64), w.astype(np.float64), stride, 1)], rtol)
+    g = rng.normal(size=out.shape).astype(dtype)
+    grads = depthwise_grads(x, w, g, stride, 1)
+    assert all(grad.dtype == dtype for grad in grads)
+    refs = shifted_depthwise_grads(*(a.astype(np.float64) for a in (x, w, g)), stride, 1)
+    assert_close_to_reference(grads, refs, rtol)
+
+
+def test_depthwise_inference_forward_allocates_its_output_and_two_blocks_at_most():
+    # MV2 layer 3's depthwise conv at batch 1; a padded copy of the input alone would be about 4x the output
+    rng = np.random.default_rng(37)
+    x = Tensor(rng.standard_normal((1, 96, 112, 112), dtype=np.float32))
+    w = Tensor(rng.standard_normal((96, 3, 3), dtype=np.float32))
+    tracemalloc.start()
+    try:
+        out = ops.depthwise_conv(x, w, 2, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1, 96, 56, 56)
+    assert peak < out.data.nbytes + 2 * ops.CHANNEL_BLOCK_BYTES, f"peaked at {peak / out.data.nbytes:.2f}x its output"
 
 
 # tiny-train's depthwise layers: mv1-tiny at width 8 on 8x8 inputs, batch 32, k3 p1
@@ -310,7 +344,7 @@ def test_depthwise_gradients_where_the_last_padded_row_gets_no_window():
 def test_depthwise_window_copy_above_block_budget_matches_reference():
     rng = np.random.default_rng(26)
     x, w = rng.normal(size=(2, 24, 56, 56)), rng.normal(size=(24, 3, 3))
-    # 3x3 windows at stride 1, padding 1 (output shape = input shape): the tile rows span more than two blocks
+    # 3x3 windows at stride 1, padding 1 (output shape = input shape): its rows and temporaries span more than two blocks
     assert x.shape[1] * band_channel_bytes(x, x, 3, 1) > 2 * ops.CHANNEL_BLOCK_BYTES
     out = ops.depthwise_conv(t(x), t(w), 1, 1).data
     ref = shifted_depthwise(x, w, 1, 1)

@@ -101,6 +101,17 @@ def test_train_config_validation():
         TrainConfig(momentum=1.0)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("weight_decay", -0.5, "weight_decay must be >= 0, got -0.5"),
+    ("batch_size", 0, "batch_size must be >= 1, got 0"),
+    ("epochs", -2, "epochs must be >= 1, got -2"),
+])
+def test_train_config_names_the_one_field_out_of_range(field, value, message):
+    with pytest.raises(ConfigurationError) as excinfo:
+        TrainConfig(**{field: value})
+    assert str(excinfo.value) == message
+
+
 # ---------------------------------------------------------------------------
 # loss and metrics
 # ---------------------------------------------------------------------------
