@@ -168,6 +168,9 @@ ROWS: list[tuple[str, Callable[..., Tensor], list]] = [
     ("maxpool_3x3_p1 1x1x4x4", lambda x: ops.maxpool_3x3_p1(x), [_windows((1, 1, 4, 4))]),
     ("maxpool_3x3_p1 2x3x5x5", lambda x: ops.maxpool_3x3_p1(x), [_windows((2, 3, 5, 5))]),
     ("maxpool_3x3_p1 1x2x1x1", lambda x: ops.maxpool_3x3_p1(x), [_windows((1, 2, 1, 1))]),
+    ("maxpool_3x3_p1 1x2x2x7", lambda x: ops.maxpool_3x3_p1(x), [_windows((1, 2, 2, 7))]),
+    ("maxpool_3x3_p1 1x1x7x2", lambda x: ops.maxpool_3x3_p1(x), [_windows((1, 1, 7, 2))]),
+    ("maxpool_3x3_p1 1x1x1x5", lambda x: ops.maxpool_3x3_p1(x), [_windows((1, 1, 1, 5))]),
     ("spatial_softmax 1x1x3x3", lambda x: ops.spatial_softmax(x), [(1, 1, 3, 3)]),
     ("spatial_softmax 3x1x2x5", lambda x: ops.spatial_softmax(x), [(3, 1, 2, 5)]),
     ("spatial_softmax 2x1x1x4", lambda x: ops.spatial_softmax(x), [(2, 1, 1, 4)]),

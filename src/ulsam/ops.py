@@ -30,16 +30,16 @@ gradient is the band's adjoint, k GEMMs per channel block and a sum over each
 band's diagonals. No array the size of the padded input is made. Training
 batch-norm's backward takes its two per-channel sums once and builds the input
 gradient from them.
-``maxpool_3x3_p1`` finds each window's first-claimed cell from the forward's
-row maxima, as small column and row indices, and adds the output gradient
-into the claimed cells with one ``np.add.at`` per channel block of about
-``CHANNEL_BLOCK_BYTES``: no per-offset masks, and an inf or NaN in the output
-gradient reaches only the cell its window claims.
+``maxpool_3x3_p1`` makes no padded array, and its taped output keeps nothing
+else: per channel block of about ``CHANNEL_BLOCK_BYTES`` the backward finds
+each window's first-claimed cell as small column and row indices and adds the
+output gradient there with one ``np.add.at``, so an inf or NaN in it reaches
+only the cell its window claims.
 
 Layout convention: rank-4 activations ``(batch, channels, height, width)``.
-Convolution is cross-correlation (no kernel flip). Max-pool padding uses -inf
-so padded cells never win, and gradient on ties goes to the first maximum in
-row-major window order.
+Convolution is cross-correlation (no kernel flip). Max-pool padding acts as
+-inf so padded cells never win, and gradient on ties goes to the first maximum
+in row-major window order.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ DEPTHWISE_TILE = 14
 # Kernels that work in channel blocks size each block's temporaries to about
 # this many bytes, so a block stays in cache from one pass over it to the next:
 # depthwise_conv fills its input rows and runs its k GEMMs per block in its
-# forward and both gradients, and maxpool_3x3_p1's backward builds and scatters
-# its claim indices per block
+# forward and both gradients, and maxpool_3x3_p1's backward recomputes its row
+# maxima and builds and scatters its claim indices per block
 CHANNEL_BLOCK_BYTES = 1 << 20
 
 
@@ -93,8 +93,8 @@ def _span(n: int, offset: int, step: int, extent: int) -> tuple[slice, slice]:
     return slice(first, first + count), slice(start, start + step * count, step)
 
 
-def _place(a: Array, offset: int, height: int, width: int, stride: int = 1, value: float = 0.0) -> Array:
-    """``a``'s cell (i, j) at ``(offset + stride * i, offset + stride * j)`` of a ``value``-filled height x width.
+def _place(a: Array, offset: int, height: int, width: int, stride: int = 1) -> Array:
+    """``a``'s cell (i, j) at ``(offset + stride * i, offset + stride * j)`` of a zero-filled height x width.
 
     Cells that land outside, negative offsets included, are dropped; an ``a`` that already fits comes back as
     ``np.ascontiguousarray(a)``, uncopied when it is contiguous.
@@ -102,7 +102,7 @@ def _place(a: Array, offset: int, height: int, width: int, stride: int = 1, valu
     if offset == 0 and stride == 1 and a.shape[2:] == (height, width):
         return np.ascontiguousarray(a)
     rows, cols = _span(a.shape[2], offset, stride, height), _span(a.shape[3], offset, stride, width)
-    out = np.full(a.shape[:2] + (height, width), value, dtype=a.dtype)
+    out = np.zeros(a.shape[:2] + (height, width), dtype=a.dtype)
     out[:, :, rows[1], cols[1]] = a[:, :, rows[0], cols[0]]
     return out
 
@@ -355,84 +355,99 @@ def grouped_pointwise(x: Tensor, weights: Tensor, groups: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _first_claims(a0: Array, a1: Array, top: Array, nan: bool) -> tuple[Array, Array]:
-    """Where the first of candidates ``a0, a1, a2`` claims their maximum ``top``, and where one of the first two does.
+def _max3(a: Array, extent: int, shift: int) -> Array:
+    """Each cell's max over its 3-cell window in flat ``a``'s lines of ``extent`` cells ``shift`` apart, a new array.
 
-    A candidate claims when it equals ``top``. NaN equals nothing, so with
-    ``nan`` set a NaN candidate claims too: ``top`` is NaN exactly when one
-    of its three is, and then its first NaN claims.
+    A line's ends cut their windows, as -inf padding would. Every window is ``np.maximum(np.maximum(hi, mid), lo)``:
+    np.maximum returns its second operand on ties (+0.0 against -0.0), so the first maximum in window order wins.
     """
-    first = a0 == top
-    first_two = a1 == top
+    if extent == 1:
+        return a.copy()
+    out = np.empty_like(a)
+    if extent > 2:  # all but the array's two ends, and wrongly at each line's ends until below
+        np.maximum(a[2 * shift :], a[shift:-shift], out=out[shift:-shift])
+        np.maximum(out[shift:-shift], a[: -2 * shift], out=out[shift:-shift])
+    lines, ends = a.reshape(-1, extent, shift), out.reshape(-1, extent, shift)
+    np.maximum(lines[:, 1], lines[:, 0], out=ends[:, 0])
+    np.maximum(lines[:, -1], lines[:, -2], out=ends[:, -1])
+    return out
+
+
+def _first_claims(a: Array, top: Array, extent: int, shift: int, nan: bool) -> tuple[Array, Array]:
+    """Where the first of candidates ``a[k - shift], a[k], a[k + shift]`` (:func:`_max3`'s window) claims ``top[k]``,
+    and where one of the first two does. A candidate claims when it equals ``top``, or is NaN with ``nan`` set (``top``
+    is NaN exactly when one of its three is); the padding before a line's first cell never claims."""
+    first = np.empty(top.shape, dtype=bool)
+    np.equal(a[:-shift], top[shift:], out=first[shift:])
+    first_two = a == top
     if nan:
-        first |= np.isnan(a0)
-        first_two |= np.isnan(a1)
-    first_two |= first
-    return first, first_two
+        isnan = np.isnan(a)
+        first[shift:] |= isnan[:-shift]
+        first_two |= isnan
+    first.reshape(-1, extent, shift)[:, 0] = False
+    return first, first_two | first
 
 
 def maxpool_3x3_p1(x: Tensor) -> Tensor:
     """3x3 max pool, padding 1, stride 1: spatial shape is preserved.
 
-    Padding is -inf so padded cells never win; ties route the gradient to the
-    first maximum in row-major window order.
+    Padding acts as -inf, so padded cells never win, but no padded array is
+    made; ties route the gradient to the first maximum in row-major window
+    order. The forward is a 3-wide row max over the input's planes, flat,
+    then a 3-tall column max over that (:func:`_max3`).
 
-    The forward is separable: a 3-wide row max over the padded input, then a
-    3-tall column max over that, each two ``np.maximum`` calls on shifted
-    slices.
-
-    The backward finds each window's first-claimed cell separably too. For
-    every padded row and output column it takes the first of the 3 cells
-    that equals the row max, then for every window the first of its 3 rows
-    whose row max equals the window max; a NaN maximum is claimed by the first
-    NaN, and an all -inf window by its top-left cell. Both indices are small
-    unsigned integers, combined into the claimed cell's offset from the
-    window's top-left corner and then into a flat index of the padded layout.
-    One ``np.add.at`` adds the output gradient into the claimed cells in
-    row-major window order, exactly as a scatter-add over the windows does,
-    so the sums are bitwise those of that scatter. A non-finite output
-    gradient reaches only the cell its window claims. The backward runs over
-    blocks of ``(batch * channel)`` planes whose claim indices take about
-    ``CHANNEL_BLOCK_BYTES``, capped at the tensor's own plane count.
+    The backward keeps nothing but the input and output. Per block of planes
+    whose temporaries take about ``CHANNEL_BLOCK_BYTES`` it recomputes the row
+    maxima, takes for every row window the first of its 3 cells that equals
+    the row max, then for every window the first of its 3 rows whose row max
+    equals the window max (for a NaN maximum, the first NaN). Both are small
+    unsigned integers, combined into a flat index of the claimed cell; an all
+    -inf window claims its top-left cell, or a dump slot past the block when
+    that cell is padding. One ``np.add.at`` adds the output gradient into the
+    claimed cells in row-major window order, as a scatter-add over the windows
+    does, so the sums are bitwise that scatter's, and a non-finite output
+    gradient reaches only the cell its window claims.
     """
     _require_rank4(x, "maxpool_3x3_p1")
     b, c, h, w = x.shape
     if h < 1 or w < 1:
         raise ConfigurationError("maxpool_3x3_p1: spatial extents must be >= 1")
-    xp = _place(x.data, 1, h + 2, w + 2, value=-np.inf)
-    # np.maximum returns its second operand on ties (+0.0 against -0.0), so
-    # earlier cells come second and the first maximum in row-major order wins
-    rows = np.maximum(np.maximum(xp[..., 2:], xp[..., 1 : w + 1]), xp[..., :w])
-    out = np.maximum(np.maximum(rows[:, :, 2:], rows[:, :, 1 : h + 1]), rows[:, :, :h])
+    flat = np.ascontiguousarray(x.data).reshape(-1)
+    out = _max3(_max3(flat, w, 1), h, w).reshape(x.shape)
 
     def dx(g: Array) -> Array:
-        planes, hp, wp = b * c, h + 2, w + 2
-        xp3, rows3 = xp.reshape(planes, hp, wp), rows.reshape(planes, hp, w)
-        out3, g3 = out.reshape(planes, h, w), g.reshape(planes, h, w)
-        step = _block_channels(planes, h * w * np.dtype(np.intp).itemsize)
-        # a claimed cell lies at most 2 * wp + 2 cells after its window's top-left corner
-        small = np.min_scalar_type(2 * wp + 2)
-        corner = np.arange(step)[:, None, None] * (hp * wp) + np.arange(h)[:, None] * wp + np.arange(w)
-        scatter = np.empty((step, hp, wp), dtype=g.dtype)
-        grad = np.empty((planes, h, w), dtype=g.dtype)
-        for p in range(0, planes, step):
-            n = min(step, planes - p)
-            xb, rb, ob = xp3[p : p + n], rows3[p : p + n], out3[p : p + n]
+        planes, size = b * c, h * w
+        xf, of, gf = x.data.reshape(-1), out.reshape(-1), g.reshape(-1)
+        step = _block_channels(planes, size * (np.dtype(np.intp).itemsize + x.data.itemsize))
+        # a claimed cell lies at most 2 * w + 2 cells after its window's top-left corner
+        small = np.min_scalar_type(2 * w + 2)
+        corner = np.arange(-w - 1, step * size - w - 1)
+        # the claimed column under each row max, at cols[w:]; a row above or below a block is never claimed
+        cols = np.zeros(step * size + 2 * w, dtype=small)
+        # a block scatters into grad[lo : hi + 1]: its own n = hi - lo cells, then grad[hi] as its dump slot
+        grad = np.zeros(planes * size + 1, dtype=g.dtype)
+        for lo in range(0, planes * size, step * size):
+            hi = min(lo + step * size, planes * size)
+            n, xb, ob = hi - lo, xf[lo:hi], of[lo:hi]
             nan = bool(np.isnan(ob).any())
-            first, first_two = _first_claims(xb[..., :w], xb[..., 1 : w + 1], rb, nan)
-            col = np.add(~first, ~first_two, dtype=small)  # claimed column under each padded row's max
-            first, first_two = _first_claims(rb[:, :h], rb[:, 1 : h + 1], ob, nan)
-            c0, c1, c2 = col[:, :h], col[:, 1 : h + 1], col[:, 2:]
-            # row i's claim sits i * wp + c_i after the corner; the differences
+            rows = _max3(xb, w, 1)
+            first, first_two = _first_claims(xb, rows, w, 1, nan)
+            np.add(~first, ~first_two, dtype=small, out=cols[w : w + n])
+            first, first_two = _first_claims(rows, ob, h, w, nan)
+            c0, c1, c2 = cols[:n], cols[w : w + n], cols[2 * w : 2 * w + n]
+            # row i's claim sits i * w + c_i after the corner; the differences
             # wrap around in ``small``, but the chosen offset fits it exactly
-            offset = c2 + 2 * wp
-            offset += (c1 - c2 - wp) * first_two
-            offset += (c0 - c1 - wp) * first
-            block = scatter[:n]
-            block.fill(0)
-            np.add.at(block.reshape(-1), (corner[:n] + offset).reshape(-1), g3[p : p + n].reshape(-1))
-            grad[p : p + n] = block[:, 1 : h + 1, 1 : w + 1]
-        return grad.reshape(out.shape)
+            offset = c2 + 2 * w
+            offset += (c1 - c2 - w) * first_two
+            offset += (c0 - c1 - w) * first
+            index = corner[:n] + offset
+            # an all -inf window in the first row or column claims padding
+            index3, out3 = index.reshape(-1, h, w), ob.reshape(-1, h, w)
+            np.copyto(index3[:, 0], n, where=out3[:, 0] == -np.inf)
+            np.copyto(index3[:, :, 0], n, where=out3[:, :, 0] == -np.inf)
+            np.add.at(grad[lo : hi + 1], index, gf[lo:hi])
+            grad[hi] = 0
+        return grad[:-1].reshape(x.shape)
 
     return op_result(out, (x, dx))
 

@@ -215,9 +215,11 @@ def load_cifar10_binary(
 
 def synthetic_dataset(classes: int, samples: int, image_size: int = 8, seed: int = 0,
                       noise: float = 0.25) -> Dataset:
-    """Seeded, linearly separable images: one random unit template per class plus noise."""
-    if classes < 2 or samples < classes:
-        raise ConfigurationError("synthetic dataset needs >= 2 classes and >= 1 sample per class")
+    """Seeded, linearly separable images: one random unit template per class plus noise; errors name config fields."""
+    if classes < 2:
+        raise ConfigurationError(f'field "dataset.classes": must be >= 2, got {classes}')
+    if samples < classes:
+        raise ConfigurationError(f'field "dataset.samples": must be >= "dataset.classes" ({classes}), got {samples}')
     rng = np.random.default_rng(seed)
     templates = rng.standard_normal((classes, 3, image_size, image_size))
     templates /= np.sqrt((templates**2).sum(axis=(1, 2, 3), keepdims=True))

@@ -389,6 +389,22 @@ def test_negative_noise_exits_2_naming_field(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("classes", 0, 'field "dataset.classes": must be >= 2, got 0'),
+    ("samples", 0, 'field "dataset.samples": must be >= "dataset.classes" (4), got 0'),
+    ("samples", -5, 'field "dataset.samples": must be >= "dataset.classes" (4), got -5'),
+    ("samples", 3, 'field "dataset.samples": must be >= "dataset.classes" (4), got 3'),  # a class with no sample
+])
+def test_synthetic_dataset_too_few_classes_or_samples_exits_2_naming_field(tmp_path, capsys, key, value, message):
+    payload = json.loads(json.dumps(TRAIN_CFG))
+    payload["dataset"][key] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    code, _, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "run")], capsys)
+    assert code == 2 and message in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command", ["describe", "analyze", "train"])
 @pytest.mark.parametrize("in_config", [True, False])
 def test_alpha_on_mv1_tiny_exits_2_naming_field(tmp_path, capsys, command, in_config):

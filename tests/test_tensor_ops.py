@@ -151,8 +151,8 @@ PLACEMENTS = [(1, 1, 6, 7), (0, 2, 9, 11), (2, 3, 12, 15), (-1, 2, 5, 6), (-2, 1
 @pytest.mark.parametrize("offset,stride,height,width", PLACEMENTS)
 def test_place_puts_each_cell_at_offset_plus_stride_times_its_index(offset, stride, height, width):
     a = np.random.default_rng(36).normal(size=(2, 3, 4, 5))
-    placed = ops._place(a, offset, height, width, stride, value=-7.0)
-    expect = np.full((2, 3, height, width), -7.0)
+    placed = ops._place(a, offset, height, width, stride)
+    expect = np.zeros((2, 3, height, width))
     for i in range(4):
         for j in range(5):
             if 0 <= offset + stride * i < height and 0 <= offset + stride * j < width:
@@ -568,6 +568,10 @@ def reference_maxpool(x, g):
     return out, dxp[:, :, 1 : 1 + h, 1 : 1 + w]
 
 
+# the kernel's width and height branches (1, 2, and 3 or more), each width with each height
+POOL_SHAPES = [(1, 1), (1, 2), (2, 1), (1, 4), (4, 1), (2, 2), (2, 3), (3, 2), (2, 7), (7, 2), (5, 3), (14, 14)]
+
+
 def _maxpool_input(kind, shape, rng):
     x = rng.normal(size=shape)
     if kind == "plateaus":  # few distinct values: most windows hold tied maxima
@@ -585,7 +589,7 @@ def _maxpool_input(kind, shape, rng):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("kind", ["random", "plateaus", "signed_zeros", "neg_inf", "nan"])
-@pytest.mark.parametrize("h,w", [(1, 1), (1, 4), (4, 1), (2, 2), (5, 3), (14, 14)])
+@pytest.mark.parametrize("h,w", POOL_SHAPES)
 def test_maxpool_matches_window_reference_bitwise(h, w, kind, dtype):
     rng = np.random.default_rng(h * 100 + w)
     x = _maxpool_input(kind, (2, 3, h, w), rng).astype(dtype)
@@ -600,18 +604,23 @@ def test_maxpool_matches_window_reference_bitwise(h, w, kind, dtype):
     assert xt.grad.tobytes() == np.ascontiguousarray(expect_grad).tobytes()
 
 
-def pool_plane_bytes(h, w):
-    """Bytes of one (item, channel) plane's claim indices in the max-pool backward, which sets its block size."""
-    return h * w * np.dtype(np.intp).itemsize
+def pool_plane_bytes(h, w, dtype):
+    """Bytes of one (item, channel) plane's claim indices and row maxima in the max-pool backward, which set its
+    block size."""
+    return h * w * (np.dtype(np.intp).itemsize + np.dtype(dtype).itemsize)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("kind", ["random", "plateaus", "signed_zeros", "neg_inf", "nan"])
-@pytest.mark.parametrize("h,w", [(1, 1), (1, 4), (4, 1), (2, 2), (5, 3), (14, 14)])
+@pytest.mark.parametrize("h,w", POOL_SHAPES)
 def test_maxpool_scatter_blocks_match_window_reference_bitwise(monkeypatch, h, w, kind, dtype):
     # the reference test's 2 x 3 = 6 planes, scattered in blocks of 4: one whole block and a remainder of 2
-    monkeypatch.setattr(ops, "CHANNEL_BLOCK_BYTES", 4 * pool_plane_bytes(h, w))
+    monkeypatch.setattr(ops, "CHANNEL_BLOCK_BYTES", 4 * pool_plane_bytes(h, w, dtype))
+    steps = []
+    block_channels = ops._block_channels
+    monkeypatch.setattr(ops, "_block_channels", lambda *a: steps.append(block_channels(*a)) or steps[-1])
     test_maxpool_matches_window_reference_bitwise(h, w, kind, dtype)
+    assert steps == [4]
 
 
 def test_maxpool_non_finite_gradient_reaches_only_the_claimed_cell():
@@ -645,6 +654,33 @@ def test_maxpool_non_finite_gradients_match_window_reference_bitwise(kind, dtype
     nan = np.isnan(expect)
     assert np.array_equal(np.isnan(xt.grad), nan)
     assert xt.grad[~nan].tobytes() == expect[~nan].tobytes()
+
+
+def test_maxpool_forward_keeps_nothing_for_the_backward():
+    x = parameter(np.random.default_rng(33).standard_normal((8, 512, 14, 14), dtype=np.float32))
+    tracemalloc.start()
+    try:
+        out = ops.maxpool_3x3_p1(x)
+        kept = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert out._backward is not None
+    assert kept < 0.05 * x.data.nbytes, f"a taped max-pool forward keeps {kept / x.data.nbytes:.2f}x its input"
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("kind", ["random", "plateaus", "signed_zeros", "neg_inf", "nan"])
+def test_maxpool_of_a_transposed_input_matches_its_contiguous_copy_bitwise(kind, dtype):
+    rng = np.random.default_rng(34)
+    x = _maxpool_input(kind, (5, 3, 2, 6), rng).astype(dtype).transpose(1, 0, 3, 2)  # (3, 5, 6, 2), strided
+    g = rng.normal(size=x.shape).astype(dtype)
+    results = []
+    for data in (x, np.ascontiguousarray(x)):
+        xt = parameter(data)
+        out = ops.maxpool_3x3_p1(xt)
+        out.backward(g)
+        results.append((out.data.tobytes(), np.ascontiguousarray(xt.grad).tobytes()))
+    assert not x.flags.c_contiguous and results[0] == results[1]
 
 
 def test_maxpool_backward_peak_allocation_stays_below_four_inputs():
