@@ -27,3 +27,7 @@ class CheckpointError(UlsamError):
 
 class DivergenceError(UlsamError):
     """Training produced a non-finite loss; the message names the epoch and the step."""
+
+
+class TapeError(UlsamError):
+    """A backward pass reached a tape node that an earlier backward already released."""

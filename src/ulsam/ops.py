@@ -17,9 +17,10 @@ masks in the backward from the saved input, and ``depthwise_conv`` runs k
 banded GEMMs per channel block of about ``CHANNEL_BLOCK_BYTES`` over one
 buffer that holds each padded input row once. ``conv2d_standard`` copies its
 im2col columns channel-major in k² strided slices, so one GEMM per item writes
-NCHW directly. Training batch-norm centres ``x`` once and scales that copy in
-place into ``x_hat``; its per-channel sums of squares and of ``g * x_hat``
-form no product array. On glibc, importing the package fixes malloc's mmap and
+NCHW directly, and its weight gradient copies them again instead of keeping
+them. Training batch-norm centres ``x`` once and scales that copy in place
+into ``x_hat``; its per-channel sums of squares and of ``g * x_hat`` form no
+product array. On glibc, importing the package fixes malloc's mmap and
 trim thresholds, so the large arrays one op frees serve the next op from the
 heap instead of being mapped and faulted in again.
 
@@ -129,7 +130,8 @@ def conv2d_standard(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 
     row ``(c, i, j)`` of item b holds tap (i, j) of channel c at every output
     position, filled by k² strided slice copies of the padded input. One
     ``np.matmul`` of the ``(n, m * k * k)`` weight matrix with them writes the
-    output in NCHW order. The weight gradient adds each item's ``g @ cols^T``
+    output in NCHW order. The taped output keeps no columns: the weight
+    gradient builds them again from ``x`` and adds each item's ``g @ cols^T``
     into one ``(n, m * k * k)`` accumulator, in batch order; the input gradient
     adds each tap's share of the output gradient into a zeroed padded array.
     """
@@ -141,14 +143,16 @@ def conv2d_standard(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 
     h_out = _out_extent(h, padding, k, stride, "conv2d_standard")
     w_out = _out_extent(w, padding, k, stride, "conv2d_standard")
 
-    xp = _place(x.data, padding, h + 2 * padding, w + 2 * padding)
-    cols = np.empty((b, m, k, k, h_out, w_out), dtype=xp.dtype)
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
-    cols = cols.reshape(b, m * k * k, h_out * w_out)
+    def im2col(xp: Array) -> Array:
+        cols = np.empty((b, m, k, k, h_out, w_out), dtype=xp.dtype)
+        for i in range(k):
+            for j in range(k):
+                cols[:, :, i, j] = xp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
+        return cols.reshape(b, m * k * k, h_out * w_out)
+
     # (n, m*k*k) @ (b, m*k*k, hw): one GEMM per item, straight into NCHW
-    out = np.matmul(weights.data.reshape(n, m * k * k), cols)
+    xp = _place(x.data, padding, h + 2 * padding, w + 2 * padding)
+    out = np.matmul(weights.data.reshape(n, m * k * k), im2col(xp))
     instrument.tally(CONV_STANDARD, b * n * h_out * w_out * m * k * k)
 
     def dx(g: Array) -> Array:
@@ -161,7 +165,8 @@ def conv2d_standard(x: Tensor, weights: Tensor, stride: int = 1, padding: int = 
         return _place(dxp, -padding, h, w)
 
     def dw(g: Array) -> Array:
-        g = g.reshape(b, n, -1)
+        # built again from x: the tape keeps no columns
+        g, cols = g.reshape(b, n, -1), im2col(_place(x.data, padding, h + 2 * padding, w + 2 * padding))
         acc = g[0] @ cols[0].T
         for i in range(1, b):
             acc += g[i] @ cols[i].T

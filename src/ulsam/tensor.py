@@ -8,7 +8,10 @@ read input ``.data``, compute the output and hand it to
 links the output to its inputs only while recording and only when an input
 needs gradients, and its one backward closure adds each needed input's
 gradient into that input's ``.grad``. ``backward()`` replays those closures
-in reverse topological order.
+in reverse topological order, once: each interior node drops its gradient,
+links and closure as soon as its closure has run, so a forward array is freed
+once no later node reads it. Leaves keep ``.grad`` and the root its gradient
+and closure; a later backward that reaches a released node raises TapeError.
 
 Convolutional code treats tensors as rank-4 ``(batch, channels, height,
 width)``; the container itself is rank-agnostic so scalars (losses) and
@@ -24,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, TapeError
 
 Array = np.ndarray
 
@@ -76,10 +79,11 @@ class Tensor:
 
     # -- gradient plumbing ---------------------------------------------------
 
-    def accumulate_grad(self, g: Array) -> None:
+    def accumulate_grad(self, g: Array, fresh: bool = False) -> None:
+        """Add ``g`` into ``.grad``; a first ``fresh`` gradient (one nothing else holds) becomes ``.grad`` as is."""
         if self.grad is None:
             # +0.0 + g in one pass: the same bits (and broadcast) as adding g into zeros, without the fill
-            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+            self.grad = g if fresh else np.add(g, 0.0, out=np.empty_like(self.data))
         else:
             self.grad += g
 
@@ -87,10 +91,13 @@ class Tensor:
         self.grad = None
 
     def backward(self, upstream: Optional[Array] = None) -> None:
-        """Propagate gradients from this tensor to every reachable input.
+        """Propagate gradients from this tensor to every reachable input, releasing the tape as it goes.
 
         ``upstream`` defaults to 1.0 and must match this tensor's shape; a
-        non-scalar output therefore needs an explicit seed.
+        non-scalar output therefore needs an explicit seed. Once an interior
+        node's closure has run, it drops ``grad``, ``_parents`` and the closure,
+        whose stub raises :class:`TapeError` if a later pass brings a gradient.
+        Leaves keep ``.grad``; this tensor keeps its gradient and closure.
         """
         if upstream is None:
             if self.data.size != 1:
@@ -121,9 +128,12 @@ class Tensor:
                     stack.append((p, False))
 
         self.accumulate_grad(upstream)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                if node is not self:
+                    node.grad, node._parents, node._backward = None, (), _released
 
     # -- minimal arithmetic used by model composition -------------------------
 
@@ -133,6 +143,10 @@ class Tensor:
         if self.shape != other.shape:
             raise ConfigurationError(f"add: shape mismatch {self.shape} vs {other.shape}")
         return op_result(self.data + other.data, (self, lambda g: g), (other, lambda g: g))
+
+
+def _released(g: Array) -> None:
+    raise TapeError("backward reached a tape node that an earlier backward released; run the forward again")
 
 
 def parameter(data) -> Tensor:
@@ -160,6 +174,10 @@ def op_result(data, *grads: tuple[Tensor, Callable[[Array], Array]]) -> Tensor:
     gets one backward closure that calls ``fn`` only for the inputs that need
     the tape and adds each result into that input's ``.grad``. Otherwise the
     output is a leaf that keeps nothing alive.
+
+    ``fn`` returns ``g``, a view of ``g``, a read-only view, or an array that
+    nothing else holds. Only the last, when it has the input's shape and
+    dtype, becomes a first ``.grad`` as is; every other result is copied.
     """
     # an input needs the tape when it wants gradients or was itself recorded
     taped = [(t, fn) for t, fn in grads if t.requires_grad or t._parents] if _recording else []
@@ -168,6 +186,8 @@ def op_result(data, *grads: tuple[Tensor, Callable[[Array], Array]]) -> Tensor:
 
     def backward(g: Array) -> None:
         for t, fn in taped:
-            t.accumulate_grad(fn(g))
+            r = fn(g)
+            t.accumulate_grad(r, r.flags.writeable and r.shape == t.shape and r.dtype == t.dtype
+                              and not np.may_share_memory(r, g))  # neither g nor a view of it
 
     return Tensor(data, parents=(t for t, _ in grads), backward=backward)

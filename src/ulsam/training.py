@@ -81,15 +81,15 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.lr <= 0:
-            raise ConfigurationError(f"lr must be > 0, got {self.lr}")
+            raise ConfigurationError(f'field "train.lr": must be > 0, got {self.lr}')
         if not (0.0 <= self.momentum < 1.0):
-            raise ConfigurationError(f"momentum must be in [0, 1), got {self.momentum}")
+            raise ConfigurationError(f'field "train.momentum": must be in [0, 1), got {self.momentum}')
         if self.weight_decay < 0:
-            raise ConfigurationError(f"weight_decay must be >= 0, got {self.weight_decay}")
+            raise ConfigurationError(f'field "train.weight_decay": must be >= 0, got {self.weight_decay}')
         if self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigurationError(f'field "train.batch_size": must be >= 1, got {self.batch_size}')
         if self.epochs < 1:
-            raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
+            raise ConfigurationError(f'field "train.epochs": must be >= 1, got {self.epochs}')
 
 
 def sgd_step(

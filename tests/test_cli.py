@@ -11,6 +11,7 @@ import pytest
 
 import ulsam
 from ulsam import cli
+from ulsam.tensor import Tensor
 
 
 def run_cli(argv, capsys):
@@ -387,6 +388,38 @@ def test_negative_noise_exits_2_naming_field(tmp_path, capsys):
     code, _, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "run")], capsys)
     assert code == 2 and 'field "dataset.noise": must be >= 0, got -1' in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("lr", 0, 'field "train.lr": must be > 0, got 0'),
+    ("momentum", 1, 'field "train.momentum": must be in [0, 1), got 1'),
+    ("weight_decay", -1, 'field "train.weight_decay": must be >= 0, got -1'),
+    ("batch_size", 0, 'field "train.batch_size": must be >= 1, got 0'),
+    ("epochs", -1, 'field "train.epochs": must be >= 1, got -1'),
+])
+def test_train_value_out_of_range_exits_2_naming_field(tmp_path, capsys, key, value, message):
+    payload = json.loads(json.dumps(TRAIN_CFG))
+    payload["train"][key] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    code, _, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "run")], capsys)
+    assert code == 2 and message in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_whose_backward_runs_twice_exits_2_with_a_tape_error(tmp_path, capsys, monkeypatch):
+    # a second pass over a training step's tape reaches nodes the first one released
+    backward = Tensor.backward
+
+    def twice(self, upstream=None):
+        backward(self, upstream)
+        backward(self, upstream)
+
+    monkeypatch.setattr(Tensor, "backward", twice)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TRAIN_CFG))
+    code, _, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "run")], capsys)
+    assert code == 2 and "earlier backward released" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("key, value, message", [

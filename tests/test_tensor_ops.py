@@ -1,6 +1,7 @@
 """Kernel-level tests: forward values, shape validation, gradients, determinism."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ulsam import gradcheck, instrument, ops
-from ulsam.errors import ConfigurationError
+from ulsam import gradcheck, instrument, models, ops, training
+from ulsam.errors import ConfigurationError, TapeError
 from ulsam.tensor import Tensor, no_tape, op_result, parameter
 
 
@@ -140,6 +141,21 @@ def test_conv2d_weight_gradient_matches_float64_reference(shape, n, k, stride, p
             tap = xp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
             expect[:, :, i, j] = np.einsum("bnhw,bmhw->nm", g, tap)
     assert np.abs(w.grad - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+def test_conv2d_taped_forward_keeps_no_columns():
+    # the stem's shape and stride: im2col columns kept for the weight gradient would be 2.25x the input
+    rng = np.random.default_rng(38)
+    x = Tensor(rng.standard_normal((4, 3, 224, 224), dtype=np.float32))
+    w = parameter(rng.standard_normal((32, 3, 3, 3), dtype=np.float32))
+    tracemalloc.start()
+    try:
+        out = ops.conv2d_standard(x, w, 2, 1)
+        kept = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert out._backward is not None
+    assert kept < 0.1 * x.data.nbytes, f"the taped forward kept {kept / x.data.nbytes:.2f}x its input"
 
 
 # (offset, stride, height, width) for a 4x5 input: padding, dilation, both,
@@ -949,7 +965,7 @@ class _RawGradient(Tensor):
 
     __slots__ = ("raw",)
 
-    def accumulate_grad(self, g):
+    def accumulate_grad(self, g, fresh=False):
         self.raw = g
 
 
@@ -1047,8 +1063,77 @@ def test_op_result_is_a_leaf_without_a_taped_input():
 def test_tensor_passed_as_both_inputs_receives_both_gradients():
     w = parameter(np.arange(4.0))
     g = np.array([1.0, -2.0, 0.5, 3.0])
-    (w + w).backward(g)
+    out = w + w
+    out.backward(g)
     np.testing.assert_array_equal(w.grad, 2 * g)
+    np.testing.assert_array_equal(out.grad, g)  # the root's gradient was copied, not adopted and added into
+
+
+def test_views_of_the_output_gradient_are_copied_not_adopted():
+    w = parameter(np.random.default_rng(28).normal(size=(2, 3, 2, 2)))
+    out = ops.channel_concat([w, w])
+    g = np.arange(48.0).reshape(out.shape)
+    out.backward(g)
+    np.testing.assert_array_equal(w.grad, g[:, :3] + g[:, 3:])
+    np.testing.assert_array_equal(out.grad, g)
+
+
+def test_fresh_gradient_of_the_input_dtype_is_adopted_and_any_other_is_copied():
+    w = parameter(np.zeros(3, dtype=np.float32))
+    fresh = np.full(3, 2.0, dtype=np.float32)
+    op_result(np.zeros(3), (w, lambda g: fresh)).backward(np.ones(3))
+    assert w.grad is fresh
+    v = parameter(np.zeros(3, dtype=np.float32))
+    op_result(np.zeros(3), (v, lambda g: np.full(3, 2.0))).backward(np.ones(3))
+    assert v.grad.dtype == np.float32 and np.array_equal(v.grad, fresh)
+
+
+def test_global_avg_pool_gradient_is_copied_not_adopted():
+    # its gradient is a read-only broadcast of g / (h * w), which a second backward must be able to add into
+    x = parameter(np.random.default_rng(29).normal(size=(2, 3, 4, 4)))
+    out = ops.global_avg_pool(x)
+    g = np.arange(6.0).reshape(out.shape)
+    out.backward(g)
+    assert x.grad.flags.writeable and x.grad.flags.owndata
+    # a one-op tape over leaves backpropagates again; the root's gradient is then g + g
+    out.backward(g)
+    np.testing.assert_array_equal(x.grad, np.broadcast_to(3 * g / 16, x.shape))
+
+
+def test_second_backward_through_a_released_node_raises_tape_error():
+    x = parameter(np.random.default_rng(30).normal(size=(2, 3, 4, 4)))
+    out = ops.global_avg_pool(ops.relu(x))
+    g = np.ones(out.shape)
+    out.backward(g)
+    grad = x.grad.copy()
+    with pytest.raises(TapeError, match="released"):
+        out.backward(g)
+    np.testing.assert_array_equal(x.grad, grad)  # the stub raised before anything reached the leaf
+
+
+def test_backward_frees_each_interior_output_while_the_root_is_alive():
+    rng = np.random.default_rng(31)
+    x, w = Tensor(rng.normal(size=(2, 3, 4, 4))), parameter(rng.normal(size=(5, 3, 1, 1)))
+    mid = ops.pointwise_conv(x, w)
+    freed = weakref.ref(mid.data)
+    loss = ops.global_avg_pool(ops.relu(mid))
+    del mid
+    assert freed() is not None  # the tape holds it until the backward
+    loss.backward(np.ones(loss.shape))
+    assert freed() is None and loss._backward is not None
+    assert w.grad is not None
+
+
+def test_parameter_gradients_of_a_training_step_share_no_memory():
+    graph = models.apply_ulsam(models.build_mv1(1.0, 10, dtype=np.float32, seed=2), ["8:1", "9:1", "11"], 4)
+    x = np.random.default_rng(32).normal(size=(2, 3, 32, 32)).astype(np.float32)
+    training.cross_entropy(models.forward(graph, x, train=True), np.array([3, 8])).backward()
+    params = list(graph.params.items())
+    assert all(t.grad is not None and t.grad.shape == t.shape for _, t in params)
+    for i, (name, t) in enumerate(params):
+        for other, u in params[i:]:
+            clash = [a for a in ([u.grad, u.data] if other != name else [t.data]) if np.may_share_memory(t.grad, a)]
+            assert not clash, f"{name}.grad shares memory with {other}"
 
 
 # each op on a plain (2, 2, 4, 4) data input ``x``; ``p(*shape)`` makes a parameter

@@ -102,9 +102,11 @@ def test_train_config_validation():
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("weight_decay", -0.5, "weight_decay must be >= 0, got -0.5"),
-    ("batch_size", 0, "batch_size must be >= 1, got 0"),
-    ("epochs", -2, "epochs must be >= 1, got -2"),
+    ("lr", 0.0, 'field "train.lr": must be > 0, got 0.0'),
+    ("momentum", 1.0, 'field "train.momentum": must be in [0, 1), got 1.0'),
+    ("weight_decay", -0.5, 'field "train.weight_decay": must be >= 0, got -0.5'),
+    ("batch_size", 0, 'field "train.batch_size": must be >= 1, got 0'),
+    ("epochs", -2, 'field "train.epochs": must be >= 1, got -2'),
 ])
 def test_train_config_names_the_one_field_out_of_range(field, value, message):
     with pytest.raises(ConfigurationError) as excinfo:
