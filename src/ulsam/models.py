@@ -162,9 +162,7 @@ def scale_channels_8(c: int, alpha: float) -> int:
 def build_mv1(alpha: float = 1.0, num_classes: int = 1000, dtype=np.float64, seed: int = 0) -> ModelGraph:
     """MobileNet-V1: standard conv stem, 13 depthwise-separable blocks, pool/FC head."""
     if not (0.0 < alpha <= 1.0):
-        raise ConfigurationError(f"width multiplier must be in (0, 1], got {alpha}")
-    if num_classes < 1:
-        raise ConfigurationError(f"num_classes must be >= 1, got {num_classes}")
+        raise ConfigurationError(f'field "alpha": the width multiplier must be in (0, 1], got {alpha}')
     layers = [LayerSpec(KIND_CONV, "1", 3, scale_channels_8(32, alpha), stride=2, act="relu")]
     for i, (cin, cout, s) in enumerate(_MV1_DWS_PLAN, start=2):
         layers.append(
@@ -179,8 +177,6 @@ def build_mv1(alpha: float = 1.0, num_classes: int = 1000, dtype=np.float64, see
 
 def build_mv2(num_classes: int = 1000, dtype=np.float64, seed: int = 0) -> ModelGraph:
     """MobileNet-V2: inverted residual bottlenecks, a 1x1 conv to 1280 channels, pool/FC head."""
-    if num_classes < 1:
-        raise ConfigurationError(f"num_classes must be >= 1, got {num_classes}")
     layers = [LayerSpec(KIND_CONV, "1", 3, 32, stride=2, act="relu6")]
     for i, (t, cin, cout, s) in enumerate(_MV2_BOTTLENECK_PLAN, start=2):
         layers.append(LayerSpec(KIND_BOTTLENECK, str(i), cin, cout, stride=s, expansion=t, act="relu6"))
@@ -193,8 +189,8 @@ def build_mv2(num_classes: int = 1000, dtype=np.float64, seed: int = 0) -> Model
 
 def build_mv1_tiny(num_classes: int = 4, width: int = 8, dtype=np.float64, seed: int = 0) -> ModelGraph:
     """Reduced V1-style stack for desk-scale runs on small images (>= 8x8)."""
-    if num_classes < 1 or width < 1:
-        raise ConfigurationError("mv1-tiny: num_classes and width must be >= 1")
+    if width < 1:
+        raise ConfigurationError(f"mv1-tiny: width must be >= 1, got {width}")
     w = width
     layers = [
         LayerSpec(KIND_CONV, "1", 3, w, stride=1, act="relu"),
@@ -210,6 +206,8 @@ def build_mv1_tiny(num_classes: int = 4, width: int = 8, dtype=np.float64, seed:
 
 
 def _finish_graph(arch, alpha, num_classes, layers, dtype, seed, min_input) -> ModelGraph:
+    if num_classes < 1:
+        raise ConfigurationError(f'field "num_classes": must be >= 1, got {num_classes}')
     graph = ModelGraph(
         arch=arch, num_classes=num_classes, alpha=alpha, layers=layers,
         params={}, buffers={}, seed=seed, dtype=dtype, min_input=min_input,
@@ -280,8 +278,11 @@ def _init_layer(graph: ModelGraph, spec: LayerSpec, rng: np.random.Generator) ->
         add(f"{p}.pw", weights.pw)
     elif spec.kind == KIND_FC:
         f, n = spec.in_channels, spec.out_channels
-        add(f"{p}.w", parameter((rng.standard_normal((f, n)) * np.sqrt(1.0 / f)).astype(dt)))
-        add(f"{p}.b", parameter(np.zeros(n, dtype=dt)))
+        try:
+            add(f"{p}.w", parameter((rng.standard_normal((f, n)) * np.sqrt(1.0 / f)).astype(dt)))
+            add(f"{p}.b", parameter(np.zeros(n, dtype=dt)))
+        except (MemoryError, ValueError):  # NumPy's two refusals of an array too large to allocate
+            raise ConfigurationError(f'field "num_classes": a classifier for {n} classes does not fit in memory') from None
 
 
 def validate_graph(graph: ModelGraph) -> None:

@@ -11,7 +11,8 @@ gradient into that input's ``.grad``. ``backward()`` replays those closures
 in reverse topological order, once: each interior node drops its gradient,
 links and closure as soon as its closure has run, so a forward array is freed
 once no later node reads it. Leaves keep ``.grad`` and the root its gradient
-and closure; a later backward that reaches a released node raises TapeError.
+and closure, which each pass runs on that pass's upstream gradient alone; a
+later backward that reaches a released node raises TapeError.
 
 Convolutional code treats tensors as rank-4 ``(batch, channels, height,
 width)``; the container itself is rank-agnostic so scalars (losses) and
@@ -97,7 +98,8 @@ class Tensor:
         non-scalar output therefore needs an explicit seed. Once an interior
         node's closure has run, it drops ``grad``, ``_parents`` and the closure,
         whose stub raises :class:`TapeError` if a later pass brings a gradient.
-        Leaves keep ``.grad``; this tensor keeps its gradient and closure.
+        Leaves keep ``.grad``; this tensor keeps its gradient and closure, and
+        its closure runs on ``upstream``, so each pass adds only its own gradient.
         """
         if upstream is None:
             if self.data.size != 1:
@@ -131,7 +133,7 @@ class Tensor:
         while order:
             node = order.pop()
             if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+                node._backward(upstream if node is self else node.grad)
                 if node is not self:
                     node.grad, node._parents, node._backward = None, (), _released
 

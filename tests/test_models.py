@@ -94,6 +94,19 @@ def test_mv1_rejects_bad_alpha():
         build_mv1(1.5, 10)
 
 
+@pytest.mark.parametrize("arch", ["mv1", "mv2", "mv1-tiny"])
+@pytest.mark.parametrize("num_classes, message", [
+    (0, 'field "num_classes": must be >= 1, got 0'),
+    # NumPy refuses the classifier's weights at once: too large to allocate, and past its largest array
+    (10**15, 'field "num_classes": a classifier for 1000000000000000 classes does not fit in memory'),
+    (2**62, f'field "num_classes": a classifier for {2**62} classes does not fit in memory'),
+])
+def test_every_builder_checks_num_classes_naming_the_field(arch, num_classes, message):
+    with pytest.raises(ConfigurationError) as raised:
+        models.build_model(arch, num_classes=num_classes)
+    assert str(raised.value) == message
+
+
 @pytest.mark.parametrize("graph", [
     build_mv1(0.5, 10),
     apply_ulsam(build_mv2(10), ["14", "9:1"], g=4),
