@@ -44,8 +44,6 @@ class UlsamConfig:
     def __post_init__(self):
         if self.channels < 1 or self.groups < 1:
             raise ConfigurationError(f"ulsam: channels and groups must be positive, got {self.channels}, {self.groups}")
-        if self.groups > self.channels:
-            raise ConfigurationError(f"ulsam: groups {self.groups} exceeds channels {self.channels}")
         if self.channels % self.groups != 0:
             raise ConfigurationError(
                 f"ulsam: groups {self.groups} does not divide channels {self.channels} evenly"

@@ -5,6 +5,9 @@ configuration error (or a training run whose loss turned non-finite).
 Command-line overrides (--g, --positions, --alpha, ...) win over the config
 file: each is written into the config as its field, then read and checked as
 one. Every subcommand is deterministic given identical inputs and seed.
+The report commands (analyze, table1, gradcheck, describe) print text or JSON
+(--format) to stdout or to --out; ``train --out`` is the run directory
+(default ``run``) and ``eval --out`` the metrics file.
 
 Config file (JSON)::
 
@@ -48,14 +51,8 @@ _KNOWN_DATASET = {"kind", "classes", "samples", "image_size", "seed", "noise", "
 def load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    def finite(text: str) -> float:
-        # Python's json reads NaN, Infinity and -Infinity, and overflows 1e400 to inf
-        if not math.isfinite(float(text)):
-            raise ConfigurationError(f"config file {path} holds {text}; every number must be finite")
-        return float(text)
-
     try:
-        cfg = json.loads(Path(path).read_text(), parse_float=finite, parse_constant=finite)
+        cfg = json.loads(Path(path).read_text())
     except ValueError as e:  # a JSONDecodeError, or an integer past Python's digit limit
         raise ConfigurationError(f"config file {path} is not valid JSON: {e}") from None
     if not isinstance(cfg, dict):
@@ -88,7 +85,8 @@ def _read(cfg: dict, field: str, kind: str, default, low=None):
     """The config value at ``field`` ("key" or "section.key"), which must have
     the JSON type ``kind`` and, given ``low``, be at least ``low``; ``default``
     when the field is absent. JSON integers may have any size, so each one
-    must also fit a signed 64-bit integer (and then converts to a finite float)."""
+    must also fit a signed 64-bit integer; Python's json reads NaN, Infinity
+    and -Infinity and overflows 1e400 to inf, so each float must be finite."""
     *section, key = field.split(".")
     body = cfg.get(section[0], {}) if section else cfg
     if key not in body:
@@ -98,6 +96,8 @@ def _read(cfg: dict, field: str, kind: str, default, low=None):
     for v in body[key] if isinstance(body[key], list) else [body[key]]:
         if isinstance(v, int) and not -2**63 <= v < 2**63:
             raise ConfigurationError(f'field "{field}": must fit a signed 64-bit integer, got a {v.bit_length()}-bit one')
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ConfigurationError(f'field "{field}": must be finite, got {v}')
     if low is not None and body[key] < low:
         raise ConfigurationError(f'field "{field}": must be >= {low}, got {body[key]}')
     return float(body[key]) if kind == "a number" else body[key]
@@ -129,11 +129,15 @@ def _build_graph(settings: dict) -> models.ModelGraph:
     return graph
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text + "\n")
+def _emit(out: str | None, text: str) -> None:
+    if out:
+        Path(out).write_text(text + "\n")
     else:
         print(text)
+
+
+def _report(args, data, text: str) -> None:
+    _emit(args.out, json.dumps(data, indent=2) if args.format == "json" else text)
 
 
 # ---------------------------------------------------------------------------
@@ -145,19 +149,13 @@ def cmd_analyze(args) -> int:
     graph = _build_graph(_model_settings(load_config(args.config), args))
     report = costs.analyze_model(graph, input_hw=args.input_size,
                                  include_bn_params=args.include_bn_params)
-    if args.format == "json":
-        _emit(args, json.dumps(report.to_dict(), indent=2))
-    else:
-        _emit(args, costs.format_report(report))
+    _report(args, report.to_dict(), costs.format_report(report))
     return 0
 
 
 def cmd_table1(args) -> int:
     rows = costs.table1_rows()
-    if args.format == "json":
-        _emit(args, json.dumps(rows, indent=2))
-    else:
-        _emit(args, costs.format_table1(rows))
+    _report(args, rows, costs.format_table1(rows))
     return 0
 
 
@@ -165,20 +163,11 @@ def cmd_gradcheck(args) -> int:
     if args.seed < 0:
         raise ConfigurationError(f"--seed: must be >= 0, got {args.seed}")
     results = gradcheck.run_suite(seed=args.seed)
-    lines = []
-    failures = []
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(f"{status}  {r.name:<44} max_rel_err={r.max_error:.3e}  tol={r.tolerance:g}")
-        if not r.passed:
-            failures.append(r)
-    if args.format == "json":
-        _emit(args, json.dumps([
-            {"op": r.name, "max_rel_err": r.max_error, "tolerance": r.tolerance, "passed": r.passed}
-            for r in results
-        ], indent=2))
-    else:
-        _emit(args, "\n".join(lines))
+    lines = [f"{'PASS' if r.passed else 'FAIL'}  {r.name:<44} max_rel_err={r.max_error:.3e}  tol={r.tolerance:g}"
+             for r in results]
+    failures = [r for r in results if not r.passed]
+    _report(args, [{"op": r.name, "max_rel_err": r.max_error, "tolerance": r.tolerance, "passed": r.passed}
+                   for r in results], "\n".join(lines))
     if failures:
         worst = max(failures, key=lambda r: r.max_error)
         print(f"gradcheck FAILED: {len(failures)} op(s); worst is {worst.name!r} "
@@ -219,16 +208,13 @@ def _dataset_from(cfg: dict) -> training.Dataset:
 
 
 def _train_config_from(cfg: dict, seed: int) -> training.TrainConfig:
+    schedules = {"step": training.StepDecay, "exp": training.ExpDecay}
     sched_name = _read(cfg, "train.schedule", "a string", "step")
-    if sched_name == "step":
-        schedule = training.StepDecay()
-    elif sched_name == "exp":
-        schedule = training.ExpDecay()
-    else:
+    if sched_name not in schedules:
         raise ConfigurationError(f'field "train.schedule": expected "step" or "exp", got {sched_name!r}')
     return training.TrainConfig(
         lr=_read(cfg, "train.lr", "a number", 0.1),
-        schedule=schedule,
+        schedule=schedules[sched_name](),
         momentum=_read(cfg, "train.momentum", "a number", 0.9),
         weight_decay=_read(cfg, "train.weight_decay", "a number", 4e-5),
         batch_size=_read(cfg, "train.batch_size", "an integer", 128),
@@ -252,11 +238,10 @@ def cmd_train(args) -> int:
     settings = _model_settings(cfg, args)
     train_cfg = _train_config_from(cfg, settings["seed"])
     graph, dataset = _graph_for_dataset(cfg, settings)
-    out_dir = args.out if args.out else "run"
-    history = training.train_loop(graph, dataset, train_cfg, out_dir=out_dir)
+    history = training.train_loop(graph, dataset, train_cfg, out_dir=args.out)
     for record in history:
         print(json.dumps(record))
-    print(f"checkpoint and history written to {out_dir}/", file=sys.stderr)
+    print(f"checkpoint and history written to {args.out}/", file=sys.stderr)
     return 0
 
 
@@ -266,33 +251,30 @@ def cmd_eval(args) -> int:
     training.load_checkpoint(args.checkpoint, graph)
     ks = None if args.topk is None else [1, args.topk]
     metrics = training.evaluate(graph, dataset, ks=ks)
-    _emit(args, json.dumps(metrics))
+    _emit(args.out, json.dumps(metrics))
     return 0
 
 
 def cmd_describe(args) -> int:
     graph = _build_graph(_model_settings(load_config(args.config), args))
     trace = models.spatial_trace(graph, args.input_size)
-    if args.format == "json":
-        payload = {
-            "arch": graph.arch, "alpha": graph.alpha, "num_classes": graph.num_classes,
-            "ulsam_positions": graph.ulsam_positions,
-            "ulsam_g": graph.ulsam_g,
-            "layers": [
-                {"layer": s.index, "kind": s.kind, "in": s.in_channels, "out": s.out_channels,
-                 "stride": s.stride, "out_hw": hw[0]}
-                for s, hw in zip(graph.layers, trace)
-            ],
-        }
-        _emit(args, json.dumps(payload, indent=2))
-        return 0
+    payload = {
+        "arch": graph.arch, "alpha": graph.alpha, "num_classes": graph.num_classes,
+        "ulsam_positions": graph.ulsam_positions,
+        "ulsam_g": graph.ulsam_g,
+        "layers": [
+            {"layer": s.index, "kind": s.kind, "in": s.in_channels, "out": s.out_channels,
+             "stride": s.stride, "out_hw": hw[0]}
+            for s, hw in zip(graph.layers, trace)
+        ],
+    }
     lines = [f"{graph.arch} (alpha={graph.alpha}, classes={graph.num_classes})"]
     if graph.ulsam_positions:
         lines.append(f"attention positions: {', '.join(graph.ulsam_positions)} (g={graph.ulsam_g})")
     lines.append(f"{'layer':>8}  {'kind':<12} {'in->out':<14} {'stride':>6} {'out hw':>7}")
     for s, hw in zip(graph.layers, trace):
         lines.append(f"{s.index:>8}  {s.kind:<12} {f'{s.in_channels}->{s.out_channels}':<14} {s.stride:>6} {hw[0]:>7}")
-    _emit(args, "\n".join(lines))
+    _report(args, payload, "\n".join(lines))
     return 0
 
 
@@ -309,8 +291,11 @@ def _common_model_flags(sp) -> None:
     sp.add_argument("--alpha", type=float, default=None, help="width multiplier override (mv1)")
     sp.add_argument("--num-classes", type=int, default=None, help="class-count override")
     sp.add_argument("--seed", type=int, default=None, help="seed override")
+
+
+def _report_flags(sp) -> None:
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.add_argument("--out", default=None, help="write output to this path instead of stdout")
+    sp.add_argument("--out", default=None, help="write the report to this path instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,34 +307,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analyze", help="per-layer parameter/MAC report for a model config")
     _common_model_flags(sp)
+    _report_flags(sp)
     sp.add_argument("--input-size", type=int, default=224)
     sp.add_argument("--include-bn-params", action="store_true",
                     help="count batch-norm affine pairs in parameter totals")
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("table1", help="attention-block overhead comparison at m=512, 14x14")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.add_argument("--out", default=None)
+    _report_flags(sp)
     sp.set_defaults(func=cmd_table1)
 
     sp = sub.add_parser("gradcheck", help="finite-difference verification of every backward pass")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.add_argument("--out", default=None)
+    _report_flags(sp)
     sp.set_defaults(func=cmd_gradcheck)
 
     sp = sub.add_parser("train", help="train per the config's train/dataset sections")
     _common_model_flags(sp)
+    sp.add_argument("--out", default="run", help="run directory for the checkpoint and history")
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("eval", help="evaluate a checkpoint on the config's dataset")
     _common_model_flags(sp)
     sp.add_argument("--checkpoint", required=True, help="checkpoint file written by train")
     sp.add_argument("--topk", type=int, default=None, help="report top-k at this k (plus top-1)")
+    sp.add_argument("--out", default=None, help="write the metrics to this path instead of stdout")
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("describe", help="print the layer table of a model config")
     _common_model_flags(sp)
+    _report_flags(sp)
     sp.add_argument("--input-size", type=int, default=224)
     sp.set_defaults(func=cmd_describe)
 

@@ -157,6 +157,23 @@ def test_gradcheck_corrupted_backward_fails_naming_op(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
+# report output
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", [["analyze", "--positions", "8:1,9:1,11", "--include-bn-params"],
+                                  ["describe", "--positions", "8:1,9:1,11"], ["table1"], ["gradcheck"]])
+def test_report_out_holds_exactly_what_stdout_shows(tmp_path, capsys, argv, fmt):
+    code, printed, _ = run_cli(argv + ["--format", fmt], capsys)
+    assert code == 0 and printed.endswith("\n")
+    report = tmp_path / "report"
+    code, out, _ = run_cli(argv + ["--format", fmt, "--out", str(report)], capsys)
+    assert code == 0 and out == ""
+    assert report.read_bytes() == printed.encode()
+
+
+# ---------------------------------------------------------------------------
 # train / eval
 # ---------------------------------------------------------------------------
 
@@ -257,6 +274,9 @@ def test_one_bad_config_field_exits_2_naming_it(tmp_path, capsys, field, value, 
 
 @pytest.mark.parametrize("field, flag, value, message", [
     ("alpha", "--alpha", 0, 'field "alpha": the width multiplier must be in (0, 1], got 0.0'),
+    # argparse's float reads nan and inf, and Python's json writes and reads them as NaN and Infinity
+    ("alpha", "--alpha", float("nan"), 'field "alpha": must be finite, got nan'),
+    ("alpha", "--alpha", float("inf"), 'field "alpha": must be finite, got inf'),
     ("num_classes", "--num-classes", 0, 'field "num_classes": must be >= 1, got 0'),
     ("num_classes", "--num-classes", 2**70, 'field "num_classes": must fit a signed 64-bit integer, got a 71-bit one'),
     # fits 64 bits, but the classifier's weights would take 7.11 EiB, so NumPy raises at once
@@ -377,7 +397,7 @@ def test_non_finite_number_in_the_config_exits_2_naming_it(tmp_path, capsys, con
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(payload).replace('"CONSTANT"', constant))
     code, _, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "run")], capsys)
-    assert code == 2 and f"config file {cfg} holds {constant}; every number must be finite" in err
+    assert code == 2 and f'field "{section}.{key}": must be finite' in err
     assert not (tmp_path / "run").exists()
 
 
@@ -434,6 +454,25 @@ def test_train_out_at_an_existing_file_exits_2_naming_it(tmp_path, capsys):
     code, _, err = run_cli(["train", "--config", str(cfg), "--out", str(taken)], capsys)
     assert code == 2 and "File exists" in err and str(taken) in err
     assert taken.read_text() == "not a directory"
+
+
+def test_train_without_out_writes_run_in_the_working_directory(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TRAIN_CFG))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["train", "--config", str(cfg)], capsys)
+    assert code == 0 and "checkpoint and history written to run/" in err
+    assert (tmp_path / "run" / "history.jsonl").read_text() == out
+    assert (tmp_path / "run" / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("argv", [["train"], ["eval", "--checkpoint", "x"]])
+def test_format_is_not_a_flag_of_train_or_eval(capsys, argv):
+    # only the report commands print a report, so only they take --format
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv + ["--format", "json"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
